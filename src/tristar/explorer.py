@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import EdgeColouring, max_component, proven_floor
+from .colouring import EdgeColouring, iter_bits, max_component, proven_floor
 from .errors import TheoremViolation
 from .oracle import _component_order
 from .rng import SplitMix64
@@ -20,6 +20,10 @@ from .stars import (max_double_star, max_double_star_order, max_triple_star,
                     max_triple_star_order)
 
 Q = Fraction
+
+# A colouring without a monochromatic two-edge path scores the single-edge
+# value on the triple objective.
+_SINGLE_EDGE = 2
 
 
 def objective(colouring: EdgeColouring, kind: str) -> int:
@@ -32,7 +36,7 @@ def objective(colouring: EdgeColouring, kind: str) -> int:
         return max_double_star(colouring).order
     if kind == "triple":
         witness = max_triple_star(colouring)
-        return 2 if witness is None else witness.order
+        return _SINGLE_EDGE if witness is None else witness.order
     if kind == "component":
         return max_component(colouring).size
     raise ValueError(f"unknown objective kind: {kind!r}")
@@ -91,6 +95,10 @@ def anneal(config: SearchConfig) -> SearchOutcome:
     generator state from the seed, restarts run in order, and ties keep the
     earliest restart.  Raises TheoremViolation immediately if the search
     ever dips below a proven floor.
+
+    The double and triple objectives are kept in a StarHistogram, so a move
+    rescores only the stars it touches; the component objective is
+    recomputed after every move.
     """
     config.check()
     n, r = config.n, config.r
@@ -104,7 +112,6 @@ def anneal(config: SearchConfig) -> SearchOutcome:
     cool = float(config.cooling)
 
     master = SplitMix64(config.seed)
-    restart_seeds = [master.next64() for _ in range(config.restarts)]
     best_value = n + 1
     best_colours: tuple[int, ...] = ()
     log: list[SearchEvent] = []
@@ -120,8 +127,8 @@ def anneal(config: SearchConfig) -> SearchOutcome:
                 f"search found {config.objective} objective {value}, below the proven {threshold}",
                 EdgeColouring(n, r, best_colours))
 
-    for restart, restart_seed in enumerate(restart_seeds):
-        rng = SplitMix64(restart_seed)
+    for restart in range(config.restarts):
+        rng = SplitMix64(master.next64())
         colours = [rng.below(r) + 1 for _ in range(length)]
         masks = [[0] * n for _ in range(r + 1)]
         for k in range(length):
@@ -129,6 +136,8 @@ def anneal(config: SearchConfig) -> SearchOutcome:
             masks[colours[k]][i] |= bit[j]
             masks[colours[k]][j] |= bit[i]
         value = value_of(masks, n, r)
+        stars = (StarHistogram(config.objective, masks, n, r)
+                 if config.objective in _CENTRE_ORDERS else None)
         evaluations += 1
         if value < best_value:
             record(restart, 0, value, colours)
@@ -140,11 +149,11 @@ def anneal(config: SearchConfig) -> SearchOutcome:
             if new >= old:
                 new += 1
             i, j = pairs[k]
-            masks[old][i] &= ~bit[j]
-            masks[old][j] &= ~bit[i]
-            masks[new][i] |= bit[j]
-            masks[new][j] |= bit[i]
-            candidate = value_of(masks, n, r)
+            if stars is None:
+                _recolour(masks, i, j, old, new)
+                candidate = value_of(masks, n, r)
+            else:
+                candidate = stars.move(i, j, old, new)
             evaluations += 1
             delta = candidate - value
             if delta <= 0 or math.exp(-delta / temperature) > rng.unit():
@@ -152,11 +161,10 @@ def anneal(config: SearchConfig) -> SearchOutcome:
                 value = candidate
                 if value < best_value:
                     record(restart, it, value, colours)
+            elif stars is None:
+                _recolour(masks, i, j, new, old)
             else:
-                masks[new][i] &= ~bit[j]
-                masks[new][j] &= ~bit[i]
-                masks[old][i] |= bit[j]
-                masks[old][j] |= bit[i]
+                stars.undo()
             temperature *= cool
     ratio = Q(best_value * (r - 1), n)
     return SearchOutcome(config, EdgeColouring(n, r, best_colours), best_value,
@@ -170,5 +178,147 @@ def _mask_objective(kind: str):
         return _component_order
     def triple(masks, n, m):
         value = max_triple_star_order(masks, n, m)
-        return value if value >= 2 else 2
+        return value if value >= _SINGLE_EDGE else _SINGLE_EDGE
     return triple
+
+
+def _recolour(masks: list[list[int]], i: int, j: int, old: int, new: int) -> None:
+    """Move edge {i, j} from colour old to colour new in the masks."""
+    masks[old][i] &= ~(1 << j)
+    masks[old][j] &= ~(1 << i)
+    masks[new][i] |= 1 << j
+    masks[new][j] |= 1 << i
+
+
+def _double_orders(row: list[int], x: int, ends: int) -> list[int]:
+    """Orders of the double stars on the centre edges x - y, y in ends."""
+    mx = row[x]
+    return [(mx | row[y]).bit_count() for y in iter_bits(ends)]
+
+
+def _double_at(row: list[int], x: int) -> list[int]:
+    """Orders of the double stars on the centre edges from x to higher vertices."""
+    return _double_orders(row, x, row[x] >> (x + 1) << (x + 1))
+
+
+def _triple_orders(row: list[int], x: int) -> list[int]:
+    """Orders of the triple stars on the paths u - x - w, u < w."""
+    nb = row[x]
+    seen = []
+    orders = []
+    for w in iter_bits(nb):
+        mw = row[w]
+        orders += [(mw | m).bit_count() for m in seen]
+        seen.append(mw | nb)
+    return orders
+
+
+def _triple_orders_from(row: list[int], u: int, middles: int) -> list[int]:
+    """Orders of the triple stars on the paths u - x - w, x in middles."""
+    mu = row[u]
+    away = ~(1 << u)
+    orders = []
+    for x in iter_bits(middles):
+        nb = row[x]
+        ux = mu | nb
+        orders += [(ux | row[w]).bit_count() for w in iter_bits(nb & away)]
+    return orders
+
+
+def _double_touched(masks: list[list[int]], i: int, j: int, colours: tuple[int, int]) -> list[int]:
+    """Orders of the double stars in the given colours that a move of {i, j} can change.
+
+    A centre edge i - y with y in N(j) keeps its order: N(y) already holds
+    j, the one bit that N(i) gains or loses.  Likewise j - y with y in N(i).
+    """
+    orders = []
+    for c in colours:
+        row = masks[c]
+        orders += _double_orders(row, i, row[i] & ~row[j])
+        orders += _double_orders(row, j, row[j] & ~row[i] & ~(1 << i))
+    return orders
+
+
+def _triple_touched(masks: list[list[int]], i: int, j: int, colours: tuple[int, int]) -> list[int]:
+    """Orders of the triple stars in the given colours that a move of {i, j} can change.
+
+    These are the paths with middle i or j, and the paths i - x - w and
+    j - x - w whose middle x is a neighbour of only one of i and j.  When x
+    is a neighbour of both, N(x) already holds i and j, the only bits the
+    move toggles, so those paths keep their order.
+    """
+    pair = 1 << i | 1 << j
+    orders = []
+    for c in colours:
+        row = masks[c]
+        orders += _triple_orders(row, i)
+        orders += _triple_orders(row, j)
+        orders += _triple_orders_from(row, i, row[i] & ~row[j] & ~pair)
+        orders += _triple_orders_from(row, j, row[j] & ~row[i] & ~pair)
+    return orders
+
+
+# Per objective: the orders of the structures one centre owns, each
+# structure owned once; the orders of the structures a move can change.
+_CENTRE_ORDERS = {
+    "double": (_double_at, _double_touched),
+    "triple": (_triple_orders, _triple_touched),
+}
+
+
+class StarHistogram:
+    """count[order] over every double or triple star of a colouring's masks.
+
+    Recolouring edge {i, j} from old to new changes only the masks old[i],
+    old[j], new[i] and new[j], so move() rescores the stars of those two
+    colours that can change, before and after the flip, and applies the
+    difference.  The objective is the highest nonzero bin.  One permanent
+    entry at _SINGLE_EDGE stands for the single-edge value, so the top never
+    falls below it.
+    """
+
+    def __init__(self, kind: str, masks: list[list[int]], n: int, m: int):
+        at, self._touched = _CENTRE_ORDERS[kind]
+        count = [0] * (n + 1)
+        count[_SINGLE_EDGE] = 1
+        for c in range(1, m + 1):
+            row = masks[c]
+            for x in range(n):
+                for order in at(row, x):
+                    count[order] += 1
+        self.masks = masks
+        self.count = count
+        top = n
+        while not count[top]:
+            top -= 1
+        self.top = top
+        self._undo: tuple = ()
+
+    def move(self, i: int, j: int, old: int, new: int) -> int:
+        """Recolour edge {i, j} from old to new; return the new top."""
+        masks, count, colours = self.masks, self.count, (old, new)
+        gone = self._touched(masks, i, j, colours)
+        _recolour(masks, i, j, old, new)
+        come = self._touched(masks, i, j, colours)
+        for order in gone:
+            count[order] -= 1
+        for order in come:
+            count[order] += 1
+        self._undo = (i, j, old, new, gone, come, self.top)
+        top = max(come, default=0)
+        if top < self.top:
+            top = self.top
+        while not count[top]:
+            top -= 1
+        self.top = top
+        return top
+
+    def undo(self) -> None:
+        """Take back the last move: its mask flip and its histogram delta."""
+        i, j, old, new, gone, come, self.top = self._undo
+        _recolour(self.masks, i, j, new, old)
+        count = self.count
+        for order in come:
+            count[order] -= 1
+        for order in gone:
+            count[order] += 1

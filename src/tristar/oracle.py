@@ -13,6 +13,7 @@ relabelling, which is what makes the quotient sound for these checks.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -260,6 +261,9 @@ def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool =
     threshold = math.ceil(floor) if floor is not None else None
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    cores = os.cpu_count() or 1
+    if threads > cores:
+        raise ValueError(f"threads must be <= {cores}, the number of CPUs")
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     if threads > 1 and budget is not None:

@@ -110,8 +110,10 @@ def _run(colouring: EdgeColouring, mode: str, r: int, bound: Q) -> TripleStarCer
 
     # |U| = bound - a with a > 0: maximality must hand us a leaf with
     # outward same-colour degree >= a.
-    assert not masks[x] & ~union and not masks[y] & ~union, \
-        "a centre reaches outside its own double star"
+    if union & ~sum(1 << v for v in set(ds.vertices)):
+        raise TheoremViolation(
+            f"a centre reaches outside its own double star on {x}-{y}",
+            colouring)
     best_u = -1
     best_delta = -1
     for u in ds.vertices:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 
+import tristar.oracle as oracle_module
 from tristar.cli import main
 from tristar.colouring import parse_colouring
 from tristar.explorer import objective
@@ -222,3 +223,13 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "{gen,analyze,prove,verify,exhaust,search}" in out
+
+
+def test_exhaust_threads_above_the_cpu_count_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(oracle_module.os, "cpu_count", lambda: 2)
+    # a pool would only start after the check, so no process is forked here
+    monkeypatch.setattr(oracle_module, "Pool", None)
+    code, out, err = run(capsys, ["exhaust", "--n", "4", "--r", "3",
+                                  "--mode", "triple", "--threads", "3"])
+    assert code == 2 and out == ""
+    assert "threads must be <= 2" in err

@@ -167,6 +167,16 @@ def test_starved_double_star_raises_theorem_violation(monkeypatch):
     assert err.value.colouring == colouring
 
 
+def test_witness_missing_a_centre_neighbour_raises_theorem_violation(monkeypatch):
+    colouring, _ = extension_fixture()
+    # centre 1 also reaches vertex 2, which the witness leaves out
+    short = DoubleStarWitness(1, (0, 1), 2, (0, 1))
+    monkeypatch.setattr(prover_module, "max_double_star", lambda c: short)
+    with pytest.raises(TheoremViolation, match="reaches outside its own double star") as err:
+        prove_global(colouring, 4)
+    assert err.value.colouring == colouring
+
+
 def test_guard_rejects_orders_below_target():
     c = affine_colouring(2, 1)
     cert = prove_global(c, 3)
