@@ -24,8 +24,8 @@ from .generators import (affine_colouring, constant_colouring,
 from .oracle import ExhaustReport, exhaustive_theorem_check
 from .prover import (certificate_from_json, certificate_to_json, prove_global,
                      prove_local, verify_certificate)
-from .stars import (DoubleStarWitness, TripleStarWitness, max_double_star,
-                    max_triple_star)
+from .stars import (SINGLE_EDGE, DoubleStarWitness, TripleStarWitness,
+                    max_double_star, max_triple_star)
 
 Q = Fraction
 
@@ -148,7 +148,7 @@ def build_analysis(colouring: EdgeColouring, include_triple: bool = True) -> Ana
     local = locality(colouring)
     observed = {"component": biggest.size, "double": double.order}
     if include_triple:
-        observed["triple"] = 2 if triple is None else triple.order
+        observed["triple"] = SINGLE_EDGE if triple is None else triple.order
     def compare(entries: list[BoundEntry]) -> tuple[BoundComparison, ...]:
         rows = []
         for e in entries:

@@ -65,24 +65,27 @@ class EdgeColouring:
         return ColourClassView(self)
 
 
+def colour_masks(n: int, m: int, colours) -> list[list[int]]:
+    """masks[c][x] has bit v set iff edge {x, v} has colour c; row 0 stays empty."""
+    masks = [[0] * n for _ in range(m + 1)]
+    k = 0
+    for i in range(n - 1):
+        one = 1 << i
+        for j in range(i + 1, n):
+            row = masks[colours[k]]
+            row[i] |= 1 << j
+            row[j] |= one
+            k += 1
+    return masks
+
+
 class ColourClassView:
     """Per-colour adjacency bit masks: bit v of masks[c][x] is set iff {x,v} has colour c."""
 
     def __init__(self, colouring: EdgeColouring):
-        n, m = colouring.n, colouring.m
-        masks = [[0] * n for _ in range(m + 1)]
-        cols = colouring.colours
-        k = 0
-        for i in range(n - 1):
-            one = 1 << i
-            for j in range(i + 1, n):
-                row = masks[cols[k]]
-                row[i] |= 1 << j
-                row[j] |= one
-                k += 1
-        self.n = n
-        self.m = m
-        self.masks = masks
+        self.n = colouring.n
+        self.m = colouring.m
+        self.masks = colour_masks(colouring.n, colouring.m, colouring.colours)
 
     def neighbours(self, c: int, v: int) -> int:
         return self.masks[c][v]
@@ -152,6 +155,29 @@ def locality(colouring: EdgeColouring) -> LocalityReport:
                           max(len(s) for s in incident))
 
 
+def component_masks(row: list[int]):
+    """Bit masks of the components of one colour class, given its adjacency masks.
+
+    Isolated vertices are skipped; components come by smallest member.
+    """
+    unseen = 0
+    for mask in row:  # the adjacency is symmetric: this is every non-isolated vertex
+        unseen |= mask
+    while unseen:
+        frontier = unseen & -unseen
+        comp = 0
+        while frontier:
+            comp |= frontier
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= row[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & ~comp
+        yield comp
+        unseen &= ~comp
+
+
 def colour_components(colouring: EdgeColouring, c: int) -> list[list[int]]:
     """Connected components of the colour-c subgraph, isolated vertices excluded.
 
@@ -159,24 +185,7 @@ def colour_components(colouring: EdgeColouring, c: int) -> list[list[int]]:
     """
     if not 1 <= c <= colouring.m:
         raise ValueError(f"colour out of range: {c}")
-    masks = colouring.view.masks[c]
-    unseen = 0
-    for v in range(colouring.n):
-        if masks[v]:
-            unseen |= 1 << v
-    components = []
-    while unseen:
-        frontier = unseen & -unseen
-        comp = 0
-        while frontier:
-            comp |= frontier
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= masks[v]
-            frontier = grow & ~comp
-        components.append(list(iter_bits(comp)))
-        unseen &= ~comp
-    return components
+    return [list(iter_bits(comp)) for comp in component_masks(colouring.view.masks[c])]
 
 
 @dataclass(frozen=True)

@@ -12,34 +12,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import EdgeColouring, iter_bits, max_component, proven_floor
+from .colouring import EdgeColouring, colour_masks, iter_bits, proven_floor
 from .errors import TheoremViolation
 from .oracle import _component_order
 from .rng import SplitMix64
-from .stars import (max_double_star, max_double_star_order, max_triple_star,
-                    max_triple_star_order)
+from .stars import SINGLE_EDGE, max_double_star_order, max_triple_star_order
 
 Q = Fraction
-
-# A colouring without a monochromatic two-edge path scores the single-edge
-# value on the triple objective.
-_SINGLE_EDGE = 2
 
 
 def objective(colouring: EdgeColouring, kind: str) -> int:
     """The order being minimized: double or triple star, or largest component.
 
-    A colouring without any monochromatic two-edge path scores 2 on the
-    triple objective (the single-edge floor).
+    A colouring without any monochromatic two-edge path scores the
+    single-edge value 2 on the triple objective.
     """
-    if kind == "double":
-        return max_double_star(colouring).order
-    if kind == "triple":
-        witness = max_triple_star(colouring)
-        return _SINGLE_EDGE if witness is None else witness.order
-    if kind == "component":
-        return max_component(colouring).size
-    raise ValueError(f"unknown objective kind: {kind!r}")
+    return _mask_objective(kind)(colouring.view.masks, colouring.n, colouring.m)
 
 
 @dataclass(frozen=True)
@@ -104,10 +92,8 @@ def anneal(config: SearchConfig) -> SearchOutcome:
     n, r = config.n, config.r
     floor = proven_floor(n, r, config.objective)
     threshold = math.ceil(floor) if floor is not None else None
-    value_of = _mask_objective(config.objective)
     pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
     length = len(pairs)
-    bit = [1 << v for v in range(n)]
     t0 = float(config.t_start)
     cool = float(config.cooling)
 
@@ -130,14 +116,13 @@ def anneal(config: SearchConfig) -> SearchOutcome:
     for restart in range(config.restarts):
         rng = SplitMix64(master.next64())
         colours = [rng.below(r) + 1 for _ in range(length)]
-        masks = [[0] * n for _ in range(r + 1)]
-        for k in range(length):
-            i, j = pairs[k]
-            masks[colours[k]][i] |= bit[j]
-            masks[colours[k]][j] |= bit[i]
-        value = value_of(masks, n, r)
-        stars = (StarHistogram(config.objective, masks, n, r)
-                 if config.objective in _CENTRE_ORDERS else None)
+        masks = colour_masks(n, r, colours)
+        if config.objective == "component":
+            stars = None
+            value = _component_order(masks, n, r)
+        else:
+            stars = StarHistogram(config.objective, masks, n, r)
+            value = stars.top
         evaluations += 1
         if value < best_value:
             record(restart, 0, value, colours)
@@ -151,7 +136,7 @@ def anneal(config: SearchConfig) -> SearchOutcome:
             i, j = pairs[k]
             if stars is None:
                 _recolour(masks, i, j, old, new)
-                candidate = value_of(masks, n, r)
+                candidate = _component_order(masks, n, r)
             else:
                 candidate = stars.move(i, j, old, new)
             evaluations += 1
@@ -172,14 +157,17 @@ def anneal(config: SearchConfig) -> SearchOutcome:
 
 
 def _mask_objective(kind: str):
+    """The order-only kernel of an objective kind, straight from colour masks."""
     if kind == "double":
         return max_double_star_order
     if kind == "component":
         return _component_order
-    def triple(masks, n, m):
-        value = max_triple_star_order(masks, n, m)
-        return value if value >= _SINGLE_EDGE else _SINGLE_EDGE
-    return triple
+    if kind == "triple":
+        def triple(masks, n, m):
+            value = max_triple_star_order(masks, n, m)
+            return value if value >= SINGLE_EDGE else SINGLE_EDGE
+        return triple
+    raise ValueError(f"unknown objective kind: {kind!r}")
 
 
 def _recolour(masks: list[list[int]], i: int, j: int, old: int, new: int) -> None:
@@ -273,14 +261,14 @@ class StarHistogram:
     old[j], new[i] and new[j], so move() rescores the stars of those two
     colours that can change, before and after the flip, and applies the
     difference.  The objective is the highest nonzero bin.  One permanent
-    entry at _SINGLE_EDGE stands for the single-edge value, so the top never
+    entry at SINGLE_EDGE stands for the single-edge value, so the top never
     falls below it.
     """
 
     def __init__(self, kind: str, masks: list[list[int]], n: int, m: int):
         at, self._touched = _CENTRE_ORDERS[kind]
         count = [0] * (n + 1)
-        count[_SINGLE_EDGE] = 1
+        count[SINGLE_EDGE] = 1
         for c in range(1, m + 1):
             row = masks[c]
             for x in range(n):

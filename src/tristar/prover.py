@@ -178,9 +178,13 @@ def verify_certificate(colouring: EdgeColouring, cert: TripleStarCertificate) ->
     """Re-check every certified claim from the colouring alone.
 
     Distinct failed checks yield distinct reasons; the trace is ignored.
+    A colouring that `validate` rejects fails with its violations alone.
     Dependent checks are skipped once their prerequisites fail, so the
     report never indexes out of range.
     """
+    invalid = validate(colouring).violations
+    if invalid:
+        return VerificationReport(tuple(f"invalid colouring: {v}" for v in invalid))
     failures: list[str] = []
     if cert.mode not in ("global", "local"):
         failures.append(f"unknown mode: {cert.mode!r}")

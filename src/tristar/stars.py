@@ -10,8 +10,10 @@ colour class, common neighbours would be double-counted by d_c(x) + d_c(y).
 The degree-sum shortcut is exact only in the bipartite setting and lives in
 the bipartite module.
 
-All finders scan every candidate and keep the first maximum under a fixed
-tie-break, so results are deterministic and reproducible across runs.
+Each structure has one scan over every candidate, which keeps the first
+maximum under a fixed tie-break; the witness finders and the order-only
+kernels are thin wrappers over it, so results are deterministic and the two
+always agree.
 """
 from __future__ import annotations
 
@@ -58,47 +60,42 @@ def triple_star_order(colouring: EdgeColouring, c: int, u: int, x: int, w: int) 
     return (masks[u] | masks[x] | masks[w]).bit_count()
 
 
-def max_double_star(colouring: EdgeColouring) -> DoubleStarWitness:
-    """Largest double star over all monochromatic centre edges.
+# A colouring without a monochromatic two-edge path has no triple star;
+# wherever a triple-star value is still wanted, it is the single-edge value.
+SINGLE_EDGE = 2
 
-    Ties break to the smallest colour, then lexicographically smallest (x, y).
+
+def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int]:
+    """(order, c, x, y) of the first maximum double star; order 0 without edges.
+
+    Centre edges are scanned by colour, then lexicographically, which is the
+    tie-break order, so only a strict improvement is recorded.
     """
-    masks = colouring.view.masks
-    n = colouring.n
-    best = -1
-    best_c = best_x = best_y = 0
-    best_set = 0
-    for c in range(1, colouring.m + 1):
+    best = best_c = best_x = best_y = 0
+    for c in range(1, m + 1):
         row = masks[c]
         for x in range(n - 1):
             mx = row[x]
             high = mx >> (x + 1)
             while high:
                 low = high & -high
-                y = x + 1 + low.bit_length() - 1
+                y = x + low.bit_length()
                 high ^= low
-                union = mx | row[y]
-                order = union.bit_count()
+                order = (mx | row[y]).bit_count()
                 if order > best:
-                    best, best_c, best_x, best_y, best_set = order, c, x, y, union
-    if best < 0:
-        raise ValueError("colouring has no edges")
-    return DoubleStarWitness(best_c, (best_x, best_y), best, tuple(iter_bits(best_set)))
+                    best, best_c, best_x, best_y = order, c, x, y
+    return best, best_c, best_x, best_y
 
 
-def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
-    """Largest triple star over all monochromatic two-edge paths u - x - w.
+def _triple_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int, int]:
+    """(order, c, u, x, w) of the maximum triple star with the smallest (c, u, x, w).
 
-    Returns None when no colour class contains a two-edge path (every class
-    a matching); that is a legitimate outcome, not an error.  Ties break on
-    the smallest (colour, u, x, w) with u < w.
+    Order 0 when no colour admits a two-edge path.  Paths are scanned by
+    colour, then middle x, then u < w.  Within one colour a later path that
+    ties the best precedes it in key order exactly when its u is smaller.
     """
-    masks = colouring.view.masks
-    n = colouring.n
-    best = -1
-    best_key = (0, 0, 0, 0)
-    best_set = 0
-    for c in range(1, colouring.m + 1):
+    best = best_c = best_u = best_x = best_w = 0
+    for c in range(1, m + 1):
         row = masks[c]
         for x in range(n):
             nb = row[x]
@@ -108,35 +105,45 @@ def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
             for a in range(len(hood) - 1):
                 u = hood[a]
                 mu = row[u] | nb
-                for b in range(a + 1, len(hood)):
-                    w = hood[b]
-                    union = mu | row[w]
-                    order = union.bit_count()
-                    key = (c, u, x, w)
-                    if order > best or (order == best and key < best_key):
-                        best, best_key, best_set = order, key, union
-    if best < 0:
+                for w in hood[a + 1:]:
+                    order = (mu | row[w]).bit_count()
+                    if order >= best:
+                        if order > best:
+                            best, best_c, best_u, best_x, best_w = order, c, u, x, w
+                        elif c == best_c and u < best_u:
+                            best_u, best_x, best_w = u, x, w
+    return best, best_c, best_u, best_x, best_w
+
+
+def max_double_star(colouring: EdgeColouring) -> DoubleStarWitness:
+    """Largest double star over all monochromatic centre edges.
+
+    Ties break to the smallest colour, then lexicographically smallest (x, y).
+    """
+    masks = colouring.view.masks
+    order, c, x, y = _double_scan(masks, colouring.n, colouring.m)
+    if not order:
+        raise ValueError("colouring has no edges")
+    return DoubleStarWitness(c, (x, y), order, tuple(iter_bits(masks[c][x] | masks[c][y])))
+
+
+def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
+    """Largest triple star over all monochromatic two-edge paths u - x - w.
+
+    Returns None when no colour class contains a two-edge path (every class
+    a matching); that is a legitimate outcome, not an error.  Ties break on
+    the smallest (colour, u, x, w) with u < w.
+    """
+    order, c, u, x, w = _triple_scan(colouring.view.masks, colouring.n, colouring.m)
+    if not order:
         return None
-    c, u, x, w = best_key
-    return TripleStarWitness(c, (u, x, w), best, tuple(iter_bits(best_set)))
+    row = colouring.view.masks[c]
+    return TripleStarWitness(c, (u, x, w), order, tuple(iter_bits(row[u] | row[x] | row[w])))
 
 
 def max_double_star_order(masks: list[list[int]], n: int, m: int) -> int:
     """Order-only double-star maximum straight from colour masks (hot path)."""
-    best = 0
-    for c in range(1, m + 1):
-        row = masks[c]
-        for x in range(n - 1):
-            mx = row[x]
-            high = mx >> (x + 1)
-            while high:
-                low = high & -high
-                y = x + 1 + low.bit_length() - 1
-                high ^= low
-                order = (mx | row[y]).bit_count()
-                if order > best:
-                    best = order
-    return best
+    return _double_scan(masks, n, m)[0]
 
 
 def max_triple_star_order(masks: list[list[int]], n: int, m: int) -> int:
@@ -145,18 +152,4 @@ def max_triple_star_order(masks: list[list[int]], n: int, m: int) -> int:
     Returns 0 when no colour admits a two-edge path, mirroring
     max_triple_star's None.
     """
-    best = 0
-    for c in range(1, m + 1):
-        row = masks[c]
-        for x in range(n):
-            nb = row[x]
-            if nb.bit_count() < 2:
-                continue
-            hood = list(iter_bits(nb))
-            for a in range(len(hood) - 1):
-                mu = row[hood[a]] | nb
-                for b in range(a + 1, len(hood)):
-                    order = (mu | row[hood[b]]).bit_count()
-                    if order > best:
-                        best = order
-    return best
+    return _triple_scan(masks, n, m)[0]

@@ -1,14 +1,18 @@
 """End-to-end command tests driving main() in process."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import random
+
+import pytest
 
 import tristar.oracle as oracle_module
 from tristar.cli import main
-from tristar.colouring import parse_colouring
+from tristar.colouring import EdgeColouring, edge_index, format_colouring, parse_colouring
 from tristar.explorer import objective
-from tristar.generators import affine_colouring
+from tristar.generators import affine_colouring, projective_local_colouring, random_colouring
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -78,6 +82,40 @@ def test_analyze_json_is_byte_stable(tmp_path, capsys):
                       if e["name"] == "triple-star")
     assert triple_row["value"] == {"num": 4, "den": 1}
     assert triple_row["status"] == "met"
+
+
+def vertex_shuffled(colouring: EdgeColouring, seed: int) -> EdgeColouring:
+    n = colouring.n
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    colours = [0] * len(colouring.colours)
+    k = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            colours[edge_index(n, perm[i], perm[j])] = colouring.colours[k]
+            k += 1
+    return EdgeColouring(n, colouring.m, tuple(colours))
+
+
+# sha256 of `analyze --json` output: any drift in a witness, an order or a row shows here
+GOLDEN_ANALYSES = [
+    (lambda: vertex_shuffled(affine_colouring(5, 2), 5),
+     "95405d8f2e4d41aafafb5878f3341cf4a79ccbae6de8e5582982ea6229fc313a"),
+    (lambda: projective_local_colouring(3, 1),
+     "8fea475835f5d8e1ee40b7440f69c0cede19ec69e83e4119ac1e4fac6fe13610"),
+    (lambda: random_colouring(60, 3, 7),
+     "27eed1bf48948ccd89bead79672086f774dd74d0c7829c8c6b9a27e2d9a62b7d"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_ANALYSES,
+                         ids=["affine-q5-mult2-shuffled", "projective-q3", "random-n60-r3"])
+def test_analyze_json_golden_output(tmp_path, capsys, make, digest):
+    path = tmp_path / "c.txt"
+    path.write_text(format_colouring(make()))
+    code, out, err = run(capsys, ["analyze", "--json", str(path)])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_malformed_text_exits_2(tmp_path, capsys):

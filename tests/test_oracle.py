@@ -6,9 +6,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from tristar.colouring import EdgeColouring, edge_count
+import tristar.oracle as oracle_module
+from tristar.colouring import EdgeColouring, edge_count, edge_index
 from tristar.errors import BudgetExceededError
-from tristar.generators import constant_colouring, random_colouring
+from tristar.generators import (affine_colouring, constant_colouring,
+                                projective_local_colouring, random_colouring)
 from tristar.oracle import (EnumerationSpec, brute_max_double_star,
                             brute_max_triple_star, canonical_count,
                             enumerate_colourings, exhaustive_theorem_check)
@@ -45,6 +47,49 @@ def test_brute_agrees_with_fast_finders():
         else:
             assert (ts_slow.colour, ts_slow.centres, ts_slow.order) == \
                    (ts_fast.colour, ts_fast.centres, ts_fast.order)
+
+
+def relabelled(colouring: EdgeColouring, rnd: random.Random) -> EdgeColouring:
+    """The colouring with its vertices and its colours shuffled."""
+    n, m = colouring.n, colouring.m
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    hue = list(range(1, m + 1))
+    rnd.shuffle(hue)
+    colours = [0] * edge_count(n)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            colours[edge_index(n, perm[i], perm[j])] = hue[colouring.colour_of(i, j) - 1]
+    return EdgeColouring(n, m, tuple(colours))
+
+
+def one_factorisation(n: int) -> EdgeColouring:
+    """Round-robin proper (n-1)-colouring of K_n, n even: every class a perfect matching."""
+    colours = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            colours.append((2 * i if j == n - 1 else i + j) % (n - 1) + 1)
+    return EdgeColouring(n, n - 1, tuple(colours))
+
+
+def test_brute_agrees_with_fast_finders_on_tie_heavy_colourings():
+    # Plane colourings tie across many colours, middles and centre edges;
+    # shuffled labels move the first maximum away from vertex 0 and colour 1.
+    rnd = random.Random(31)
+    planes = (affine_colouring(2, 3), affine_colouring(3, 1), projective_local_colouring(2, 2))
+    cases = list(planes) + [relabelled(c, rnd) for c in planes for _ in range(3)]
+    cases += [one_factorisation(n) for n in (4, 6, 8)]
+    cases += [relabelled(one_factorisation(n), rnd) for n in (6, 10)]
+    for c in cases:
+        slow, fast = brute_max_double_star(c), max_double_star(c)
+        assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
+               (fast.colour, fast.centres, fast.order, fast.vertices)
+        slow, fast = brute_max_triple_star(c), max_triple_star(c)
+        if slow is None:
+            assert fast is None
+        else:
+            assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
+                   (fast.colour, fast.centres, fast.order, fast.vertices)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -173,6 +218,33 @@ def test_exhaust_threads_match_single_thread():
     single = exhaustive_theorem_check(5, 3, mode="triple")
     threaded = exhaustive_theorem_check(5, 3, mode="triple", threads=2)
     assert threaded == single
+
+
+def test_exhaust_starts_no_more_workers_than_prefixes(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(oracle_module, "Pool", InProcessPool)
+    monkeypatch.setattr(oracle_module.os, "cpu_count", lambda: 8)
+    for n, r, threads in ((2, 3, 2), (3, 2, 8)):
+        prefixes = len(_split_prefixes(n, r, threads))
+        assert prefixes < threads
+        threaded = exhaustive_theorem_check(n, r, mode="triple", threads=threads)
+        assert started[-1] == prefixes
+        assert threaded == exhaustive_theorem_check(n, r, mode="triple")
+    assert started == [1, 4]
 
 
 def test_exhaust_budget_carries_partial_report():

@@ -283,6 +283,22 @@ def test_verify_local_checks_locality():
     assert "locality violated" in reasons(loose, fake)
 
 
+def test_verify_rejects_a_short_colouring_without_indexing():
+    c = random_colouring(8, 3, 1)
+    cert = prove_global(c, 3)
+    short = EdgeColouring(8, 3, c.colours[:-3])
+    assert reasons(short, cert) == ("invalid colouring: missing or surplus edge colours: "
+                                    "expected 28, found 25")
+
+
+def test_verify_rejects_a_label_above_m_without_indexing():
+    c = random_colouring(8, 3, 1)
+    cert = prove_global(c, 3)
+    relabelled = EdgeColouring(8, 3, (4,) + c.colours[1:])
+    assert reasons(relabelled, cert) == \
+        "invalid colouring: label out of range at edge position 0: 4"
+
+
 # --- certificate files -------------------------------------------------------
 
 def test_certificate_json_round_trip():
