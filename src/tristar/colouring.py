@@ -64,6 +64,11 @@ class EdgeColouring:
     def view(self) -> "ColourClassView":
         return ColourClassView(self)
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """What `validate` returns; checked once, since the record never changes."""
+        return _find_violations(self)
+
 
 def colour_masks(n: int, m: int, colours) -> list[list[int]]:
     """masks[c][x] has bit v set iff edge {x, v} has colour c; row 0 stays empty."""
@@ -104,7 +109,14 @@ class ValidationReport:
 
 
 def validate(colouring: EdgeColouring) -> ValidationReport:
-    """Collect every invariant violation; an empty report means the colouring is usable."""
+    """Collect every invariant violation; an empty report means the colouring is usable.
+
+    The check runs once per instance; later calls return the same report.
+    """
+    return colouring.validation
+
+
+def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     problems = []
     n, m = colouring.n, colouring.m
     if n < 2:
@@ -249,6 +261,14 @@ def subgraph_diameter(colouring: EdgeColouring, c: int, vertices) -> int | None:
 _TOKEN = re.compile(r"\S+")
 
 
+class _Labels(dict):
+    """Memo of int(token) per distinct token string; grows only with the input."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
 def parse_colouring(text: str) -> EdgeColouring:
     """Parse the colouring text format.
 
@@ -259,14 +279,15 @@ def parse_colouring(text: str) -> EdgeColouring:
     """
     header = None
     values: list[int] = []
+    labels = _Labels()
     need = 0
     lineno = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = list(_TOKEN.finditer(line))
         if header is None:
+            tokens = list(_TOKEN.finditer(line))
             if len(tokens) != 2:
                 raise ColouringFormatError("header must be exactly 'n m'", lineno, tokens[0].start() + 1)
             pair = []
@@ -282,20 +303,35 @@ def parse_colouring(text: str) -> EdgeColouring:
             header = (pair[0], pair[1])
             need = edge_count(header[0])
             continue
-        for tok in tokens:
-            if len(values) >= need:
-                raise ColouringFormatError(f"surplus token {tok.group()!r}: expected only {need} edge colours",
-                                           lineno, tok.start() + 1)
+        # str.split and \S+ cut at the same characters, so a line that fits
+        # and converts is read exactly as the token loop below would read it
+        words = line.split()
+        mark = len(values)
+        if mark + len(words) <= need:
             try:
-                values.append(int(tok.group()))
+                values += map(labels.__getitem__, words)
+                continue
             except ValueError:
-                raise ColouringFormatError(f"edge colour {tok.group()!r} is not an integer",
-                                           lineno, tok.start() + 1) from None
+                del values[mark:]
+        _parse_line(line, lineno, values, need)
     if header is None:
         raise ColouringFormatError("empty input: missing 'n m' header", max(lineno, 1), 1)
     if len(values) != need:
         raise ColouringFormatError(f"expected {need} edge colours, found {len(values)}", lineno, 1)
     return EdgeColouring(header[0], header[1], tuple(values))
+
+
+def _parse_line(line: str, lineno: int, values: list[int], need: int) -> None:
+    """Token by token, so the first bad token raises with its exact column."""
+    for tok in _TOKEN.finditer(line):
+        if len(values) >= need:
+            raise ColouringFormatError(f"surplus token {tok.group()!r}: expected only {need} edge colours",
+                                       lineno, tok.start() + 1)
+        try:
+            values.append(int(tok.group()))
+        except ValueError:
+            raise ColouringFormatError(f"edge colour {tok.group()!r} is not an integer",
+                                       lineno, tok.start() + 1) from None
 
 
 def format_colouring(colouring: EdgeColouring, comments: tuple[str, ...] = ()) -> str:

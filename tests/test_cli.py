@@ -154,6 +154,51 @@ def test_prove_verify_roundtrip(tmp_path, capsys):
     assert out == "certificate accepted\n"
 
 
+def untidy_text(colouring: EdgeColouring) -> str:
+    """A legal but untidy layout: comments, blank lines, tabs, several rows
+    on one line and the first row split across two lines."""
+    n = colouring.n
+    rows = []
+    k = 0
+    for i in range(n - 1):
+        rows.append([str(c) for c in colouring.colours[k:k + n - 1 - i]])
+        k += n - 1 - i
+    half = len(rows[0]) // 2
+    lines = ["# untidy layout", "", f"  {n}\t{colouring.m}  ", "\t# rows follow",
+             " ".join(rows[0][:half]), "\t".join(rows[0][half:]) + "\t"]
+    for start in range(1, len(rows), 3):
+        lines.append("  ".join("\t".join(row) for row in rows[start:start + 3]))
+        if start % 7 == 1:
+            lines.append("")
+        if start % 11 == 1:
+            lines.append("# between rows")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of prove stdout + certificate bytes + verify stdout, recorded before
+# the colouring parser took its fast path: any drift in a certificate shows here
+GOLDEN_CERTIFICATES = [
+    (lambda: random_colouring(200, 5, 11), [],
+     "db9be238008f41f5b6988948522fc691a867245313ec0373581ab95ec66cf2b2"),
+    (lambda: projective_local_colouring(5, 1), ["--local", "--r", "6"],
+     "175c621c9bb67a23795076335e1e50b34a8656793db6daa856a5d54528d375f3"),
+]
+
+
+@pytest.mark.parametrize("make, flags, digest", GOLDEN_CERTIFICATES,
+                         ids=["random-n200-r5", "projective-q5-local"])
+def test_prove_verify_golden_output(tmp_path, capsys, make, flags, digest):
+    path = tmp_path / "c.txt"
+    path.write_text(untidy_text(make()))
+    cert = tmp_path / "cert.json"
+    code, proved, err = run(capsys, ["prove", str(path), "--cert", str(cert), *flags])
+    assert code == 0 and err == ""
+    code, verified, err = run(capsys, ["verify", "--cert", str(cert), str(path)])
+    assert code == 0 and err == "" and verified == "certificate accepted\n"
+    blob = proved.encode() + cert.read_bytes() + verified.encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_prove_cert_to_stdout_is_bare_json(tmp_path, capsys):
     colouring = tmp_path / "c.txt"
     run(capsys, ["gen", "affine", "--q", "2", "--mult", "1", "--out", str(colouring)])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -153,6 +154,90 @@ def test_parse_errors_carry_line_and_column():
     with pytest.raises(ColouringFormatError) as err:
         parse_colouring("# only comments\n")
     assert "missing 'n m' header" in str(err.value)
+
+
+def reference_parse(text: str):
+    """The body format token by token, as specified; assumes a valid header line.
+
+    Returns (n, m, colours) or the ColouringFormatError the parser must raise.
+    """
+    lines = text.splitlines()
+    data = [(no, line) for no, line in enumerate(lines, start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
+    n, m = (int(word) for word in data[0][1].split())
+    need, values = edge_count(n), []
+    for no, line in data[1:]:
+        for tok in re.finditer(r"\S+", line):
+            if len(values) == need:
+                return ColouringFormatError(f"surplus token {tok.group()!r}: expected only "
+                                            f"{need} edge colours", no, tok.start() + 1)
+            try:
+                values.append(int(tok.group()))
+            except ValueError:
+                return ColouringFormatError(f"edge colour {tok.group()!r} is not an integer",
+                                            no, tok.start() + 1)
+    if len(values) != need:
+        return ColouringFormatError(f"expected {need} edge colours, found {len(values)}",
+                                    len(lines), 1)
+    return n, m, tuple(values)
+
+
+def parse_outcome(text: str):
+    try:
+        c = parse_colouring(text)
+    except ColouringFormatError as exc:
+        return str(exc), exc.line, exc.column
+    return c.n, c.m, c.colours
+
+
+def reference_outcome(text: str):
+    got = reference_parse(text)
+    if isinstance(got, ColouringFormatError):
+        return str(got), got.line, got.column
+    return got
+
+
+def untidy_texts():
+    """K_5 with m = 3 under odd separators, line breaks, tokens and line layouts."""
+    body = ["1", "2", "3", "1", "2", "3", "1", "2", "3", "1", "7", "2"]  # 10, 11 are surplus
+    layouts = [  # lines of body positions; None is a comment line
+        [[0, 1, 2, 3], [4, 5, 6], [7, 8], [9]],
+        [list(range(10))],
+        [[0, 1], None, [2, 3], [], [4, 5, 6], None, [7, 8, 9]],  # the first row split
+        [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10, 11]],  # surplus in the middle of a line
+        [list(range(9)), [9], [10], [11]],
+        [[0, 1, 2], [3, 4, 5]],  # too few
+    ]
+    odd = ["+3", "03", "1_0", "\u0663", "0", "4", "256", "99999", "x", "1.0", "-1",
+           "3x", "1" * 5000]
+    for sep in (" ", "\t", "\xa0", "\u2003", " \t\x1f"):
+        for brk in ("\n", "\r\n", "\r", "\x0b", "\u2028"):
+            for layout in layouts:
+                for where, token in [(None, None)] + [(k, t) for k in (0, 5, 9) for t in odd]:
+                    words = list(body)
+                    if where is not None:
+                        words[where] = token
+                    lines = ["# head", f"5{sep}3", "# after the header"]
+                    for row in layout:
+                        lines.append(f"{sep}# comment" if row is None
+                                     else sep.join(words[k] for k in row))
+                    yield brk.join(lines) + brk
+
+
+def test_parse_matches_the_reference_tokenizer():
+    texts = list(untidy_texts())
+    assert len(texts) > 1000
+    for text in texts:
+        assert parse_outcome(text) == reference_outcome(text), repr(text[:80])
+
+
+def test_format_parse_round_trip_at_larger_sizes():
+    rng = random.Random(11)
+    for _ in range(25):
+        c = random_colours(rng, rng.randint(2, 60), rng.randint(1, 300))
+        text = format_colouring(c, ("round trip",))
+        assert parse_colouring(text) == c
+        assert reference_parse(text) == (c.n, c.m, c.colours)
 
 
 # --- locality ----------------------------------------------------------------

@@ -7,8 +7,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+import tristar.colouring as colouring_module
 import tristar.prover as prover_module
-from tristar.colouring import EdgeColouring, edge_count, edge_index
+from tristar.colouring import EdgeColouring, edge_count, edge_index, validate
 from tristar.errors import CertificateFormatError, TheoremViolation
 from tristar.generators import (affine_colouring, constant_colouring,
                                 projective_local_colouring, random_colouring)
@@ -297,6 +298,58 @@ def test_verify_rejects_a_label_above_m_without_indexing():
     relabelled = EdgeColouring(8, 3, (4,) + c.colours[1:])
     assert reasons(relabelled, cert) == \
         "invalid colouring: label out of range at edge position 0: 4"
+
+
+def test_prove_then_verify_checks_the_colouring_once(monkeypatch):
+    checked = []
+    find = colouring_module._find_violations
+    monkeypatch.setattr(colouring_module, "_find_violations",
+                        lambda colouring: checked.append(colouring) or find(colouring))
+    c = random_colouring(30, 4, 5)
+    assert verify_certificate(c, prove_global(c, 4)).ok
+    assert checked == [c]
+
+
+def test_an_invalid_colouring_keeps_its_violations():
+    c = EdgeColouring(4, 3, (1, 4, 0, 2, 1))
+    expected = ("missing or surplus edge colours: expected 6, found 5",
+                "label out of range at edge position 1: 4",
+                "label out of range at edge position 2: 0")
+    assert validate(c).violations == expected
+    assert validate(c).violations == expected
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid colouring: missing or surplus"):
+            prove_global(c, 3)
+        assert verify_certificate(c, fixture_cert()[1]).failures == \
+            tuple(f"invalid colouring: {v}" for v in expected)
+
+
+# (seed of random_colouring(12, 4, seed), vertices dropped, vertices added,
+# the full failure tuple): each forgery of the vertex list either passes the
+# one-BFS radius check or falls back to the full diameter with its message
+FORGED_VERTEX_LISTS = [
+    (4, (), (6,), ("vertex 6 not attached to any centre in colour 3",
+                   "diameter exceeds 4: found 5")),
+    (2, (), (9,), ("vertex 9 not attached to any centre in colour 2",
+                   "witness disconnected in its colour")),
+    (4, (2,), (), ("star vertex 2 missing from witness",)),
+    (4, (0,), (), ("centre 0 missing from vertex set", "star vertex 0 missing from witness",
+                   "witness disconnected in its colour")),
+    (16, (8,), (9,), ("vertex 9 not attached to any centre in colour 2",
+                      "star vertex 8 missing from witness", "diameter exceeds 4: found 5")),
+]
+
+
+@pytest.mark.parametrize("seed, dropped, added, failures", FORGED_VERTEX_LISTS,
+                         ids=["outside-vertex-far", "outside-vertex-cut-off", "leaf-dropped",
+                              "middle-dropped", "middle-leaf-swapped"])
+def test_verify_pins_the_failures_of_a_forged_vertex_list(seed, dropped, added, failures):
+    c = random_colouring(12, 4, seed)
+    cert = prove_global(c, 4)
+    assert set(dropped) <= set(cert.vertices) and not set(added) & set(cert.vertices)
+    verts = tuple(sorted(set(cert.vertices) - set(dropped) | set(added)))
+    forged = dataclasses.replace(cert, vertices=verts, order=len(verts))
+    assert verify_certificate(c, forged).failures == failures
 
 
 # --- certificate files -------------------------------------------------------
