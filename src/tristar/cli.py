@@ -132,9 +132,9 @@ def _q_dict(value: Q) -> dict:
 def build_analysis(colouring: EdgeColouring, include_triple: bool = True) -> AnalysisReport:
     """Measure a colouring and compare the maxima against the known floors.
 
-    include_triple=False skips the triple-star scan (quadratic in
-    neighbourhood size per centre, prohibitive at n in the hundreds);
-    triple rows then carry status "skipped".
+    include_triple=False skips the triple-star scan, the costliest step (up
+    to C(d, 2) paths per middle of colour degree d, fewer where its bounds
+    skip them); triple rows then carry status "skipped".
     """
     report = validate(colouring)
     if not report.ok:
@@ -228,10 +228,10 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         cert = prove_global(colouring, colouring.m)
     _write_text(args.cert, certificate_to_json(cert))
     if args.cert != "-":
-        u, x, v = cert.centres
+        centres = " ".join(map(str, cert.centres))  # two when degenerate
         note = " (degenerate)" if cert.degenerate else ""
         print(f"proved: {cert.mode} r={cert.r} colour {cert.colour}, "
-              f"centres {u} {x} {v}, order {cert.order} >= {cert.bound}{note}")
+              f"centres {centres}, order {cert.order} >= {cert.bound}{note}")
     return 0
 
 

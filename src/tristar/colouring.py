@@ -69,6 +69,15 @@ class EdgeColouring:
         """What `validate` returns; checked once, since the record never changes."""
         return _find_violations(self)
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Component bit masks of each colour class, index c (index 0 empty).
+
+        One BFS per colour serves `colour_components` and `max_component`.
+        """
+        masks = self.view.masks
+        return ((),) + tuple(tuple(component_masks(masks[c])) for c in range(1, self.m + 1))
+
 
 def colour_masks(n: int, m: int, colours) -> list[list[int]]:
     """masks[c][x] has bit v set iff edge {x, v} has colour c; row 0 stays empty."""
@@ -197,7 +206,7 @@ def colour_components(colouring: EdgeColouring, c: int) -> list[list[int]]:
     """
     if not 1 <= c <= colouring.m:
         raise ValueError(f"colour out of range: {c}")
-    return [list(iter_bits(comp)) for comp in component_masks(colouring.view.masks[c])]
+    return [list(iter_bits(comp)) for comp in colouring.components[c]]
 
 
 @dataclass(frozen=True)
@@ -210,18 +219,17 @@ class ComponentWitness:
 def max_component(colouring: EdgeColouring) -> ComponentWitness:
     """Largest monochromatic component over all colours.
 
-    Ties break to the smallest colour, then the smallest minimum vertex.
+    Ties break to the smallest colour, then the smallest minimum vertex:
+    the order in which `components` lists them, so the first largest wins.
     """
-    best = None
+    best_c = best = 0
     for c in range(1, colouring.m + 1):
-        for comp in colour_components(colouring, c):
-            key = (-len(comp), c, comp[0])
-            if best is None or key < best[0]:
-                best = (key, c, comp)
-    if best is None:
+        for comp in colouring.components[c]:
+            if comp.bit_count() > best.bit_count():
+                best_c, best = c, comp
+    if not best:
         raise ValueError("colouring has no edges")
-    _, c, comp = best
-    return ComponentWitness(c, len(comp), tuple(comp))
+    return ComponentWitness(best_c, best.bit_count(), tuple(iter_bits(best)))
 
 
 def subgraph_diameter(colouring: EdgeColouring, c: int, vertices) -> int | None:

@@ -10,16 +10,18 @@ colour class, common neighbours would be double-counted by d_c(x) + d_c(y).
 The degree-sum shortcut is exact only in the bipartite setting and lives in
 the bipartite module.
 
-Each structure has one scan over every candidate, which keeps the first
-maximum under a fixed tie-break; the witness finders and the order-only
-kernels are thin wrappers over it, so results are deterministic and the two
-always agree.
+Each structure has one scan, which keeps the first maximum under a fixed
+tie-break.  It skips only candidates that an exact upper bound shows can
+neither exceed the best found so far nor tie it and win the tie-break, so
+the result is the one a scan over every candidate gives.  The witness
+finders and the order-only kernels are thin wrappers over it, so results
+are deterministic and the two always agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import EdgeColouring, iter_bits
+from .colouring import EdgeColouring, component_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,36 @@ def triple_star_order(colouring: EdgeColouring, c: int, u: int, x: int, w: int) 
 SINGLE_EDGE = 2
 
 
+# A bound costs popcounts of its own, so it is taken only where it can save
+# more: the triple scan bounds a middle of colour degree d >= _BOUND_DEGREE
+# (about 2d popcounts against C(d, 2) paths), and the double scan takes a
+# colour's largest component only once the best double star has more than
+# _BOUND_DEGREE vertices.  Neither fires on a K_n with n <= _BOUND_DEGREE.
+_BOUND_DEGREE = 6
+
+
+def _largest_component(row: list[int]) -> int:
+    """Order of the largest component of one colour class: no star in it is larger."""
+    return max((comp.bit_count() for comp in component_masks(row)), default=0)
+
+
 def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int]:
     """(order, c, x, y) of the first maximum double star; order 0 without edges.
 
     Centre edges are scanned by colour, then lexicographically, which is the
-    tie-break order, so only a strict improvement is recorded.
+    tie-break order, so only a strict improvement is recorded.  No double
+    star is larger than the largest component of its colour: once the best
+    exceeds _BOUND_DEGREE, a colour whose cap is no larger is skipped, and
+    a colour is left as soon as the best reaches its cap.
     """
     best = best_c = best_x = best_y = 0
     for c in range(1, m + 1):
         row = masks[c]
+        cap = 0  # not taken yet
+        if best > _BOUND_DEGREE:
+            cap = _largest_component(row)
+            if cap <= best:
+                continue
         for x in range(n - 1):
             mx = row[x]
             high = mx >> (x + 1)
@@ -84,6 +107,14 @@ def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int,
                 order = (mx | row[y]).bit_count()
                 if order > best:
                     best, best_c, best_x, best_y = order, c, x, y
+                    if order > _BOUND_DEGREE:
+                        if not cap:
+                            cap = _largest_component(row)
+                        if order == cap:
+                            break
+            else:
+                continue
+            break  # the best reached the cap
     return best, best_c, best_x, best_y
 
 
@@ -93,16 +124,50 @@ def _triple_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int,
     Order 0 when no colour admits a two-edge path.  Paths are scanned by
     colour, then middle x, then u < w.  Within one colour a later path that
     ties the best precedes it in key order exactly when its u is smaller.
+
+    Paths that provably cannot beat the best, or tie it and win the
+    tie-break, are skipped: a whole colour when its largest component is no
+    larger; a middle x when its ball of radius 2 is not; and a first leaf u
+    when |N(u) | N(x)| plus the largest |N(w) - N(x) - {x}| over the later
+    leaves w is not.
     """
     best = best_c = best_u = best_x = best_w = 0
     for c in range(1, m + 1):
         row = masks[c]
+        cap = 0  # not taken yet
         for x in range(n):
             nb = row[x]
-            if nb.bit_count() < 2:
+            d = nb.bit_count()
+            if d < 2:
                 continue
             hood = list(iter_bits(nb))
-            for a in range(len(hood) - 1):
+            starts = range(d - 1)
+            if d >= _BOUND_DEGREE:
+                if not cap:
+                    cap = _largest_component(row)
+                    if cap < best or cap == best and c != best_c:
+                        break
+                ball = nb
+                for v in hood:
+                    ball |= row[v]
+                reach = ball.bit_count()
+                if reach < best or reach == best and (c != best_c or hood[0] >= best_u):
+                    continue
+                # rest[a]: the most that a leaf w = hood[b], b >= a, adds to
+                # N(u) | N(x); x lies in N(w) - N(x), but N(u) holds it already
+                rest = [(row[w] & ~nb).bit_count() - 1 for w in hood]
+                for a in range(d - 2, 0, -1):
+                    if rest[a] < rest[a + 1]:
+                        rest[a] = rest[a + 1]
+                # keep a first leaf only if it can still beat the best, or tie it
+                # and win; one dropped here stays dominated while this middle's
+                # scan raises the best or lowers best_u
+                starts = []
+                for a in range(d - 1):
+                    reach = (row[hood[a]] | nb).bit_count() + rest[a + 1]
+                    if reach > best or reach == best and c == best_c and hood[a] < best_u:
+                        starts.append(a)
+            for a in starts:
                 u = hood[a]
                 mu = row[u] | nb
                 for w in hood[a + 1:]:

@@ -4,10 +4,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tristar
 import tristar.oracle as oracle_module
 from tristar.cli import main
 from tristar.colouring import EdgeColouring, edge_index, format_colouring, parse_colouring
@@ -97,7 +102,15 @@ def vertex_shuffled(colouring: EdgeColouring, seed: int) -> EdgeColouring:
     return EdgeColouring(n, colouring.m, tuple(colours))
 
 
-# sha256 of `analyze --json` output: any drift in a witness, an order or a row shows here
+def colour_shuffled(colouring: EdgeColouring, seed: int) -> EdgeColouring:
+    hue = list(range(1, colouring.m + 1))
+    random.Random(seed).shuffle(hue)
+    return EdgeColouring(colouring.n, colouring.m, tuple(hue[c - 1] for c in colouring.colours))
+
+
+# sha256 of `analyze --json` output: any drift in a witness, an order or a row
+# shows here.  The last five, recorded before the star scans took their upper
+# bounds, are large enough for every bound to fire.
 GOLDEN_ANALYSES = [
     (lambda: vertex_shuffled(affine_colouring(5, 2), 5),
      "95405d8f2e4d41aafafb5878f3341cf4a79ccbae6de8e5582982ea6229fc313a"),
@@ -105,11 +118,23 @@ GOLDEN_ANALYSES = [
      "8fea475835f5d8e1ee40b7440f69c0cede19ec69e83e4119ac1e4fac6fe13610"),
     (lambda: random_colouring(60, 3, 7),
      "27eed1bf48948ccd89bead79672086f774dd74d0c7829c8c6b9a27e2d9a62b7d"),
+    (lambda: vertex_shuffled(affine_colouring(7, 3), 7),
+     "61c978cc0e6d670f53517544a87709a4f9cb647a321b0f6c166ee84335582e60"),
+    (lambda: colour_shuffled(vertex_shuffled(affine_colouring(7, 3), 7), 7),
+     "b1a1a490d506e3fb33e5348d0aafe315766d20e9c5a1e6f4832a9b255d0cf778"),
+    (lambda: projective_local_colouring(5, 5),
+     "718ea5769aca81177aba5f5d18d867502efdbb651e1234791a05bb4c84ba6aaa"),
+    (lambda: random_colouring(150, 5, 7),
+     "25e317ef661f01010d91a1c281ac4a70669b52f332451f687a9d9c6d0d637a16"),
+    (lambda: random_colouring(120, 3, 7),
+     "950a913fb5508af9c83d0f029bfbe11f1ff678a054d34e180af318e8dfa1abd6"),
 ]
 
 
 @pytest.mark.parametrize("make, digest", GOLDEN_ANALYSES,
-                         ids=["affine-q5-mult2-shuffled", "projective-q3", "random-n60-r3"])
+                         ids=["affine-q5-mult2-shuffled", "projective-q3", "random-n60-r3",
+                              "affine-q7-mult3-shuffled", "affine-q7-mult3-shuffled-hues",
+                              "projective-q5-mult5", "random-n150-r5", "random-n120-r3"])
 def test_analyze_json_golden_output(tmp_path, capsys, make, digest):
     path = tmp_path / "c.txt"
     path.write_text(format_colouring(make()))
@@ -176,17 +201,20 @@ def untidy_text(colouring: EdgeColouring) -> str:
 
 
 # sha256 of prove stdout + certificate bytes + verify stdout, recorded before
-# the colouring parser took its fast path: any drift in a certificate shows here
+# the colouring parser took its fast path (the affine blow-up: before the
+# double-star scan took its bounds): any drift in a certificate shows here
 GOLDEN_CERTIFICATES = [
     (lambda: random_colouring(200, 5, 11), [],
      "db9be238008f41f5b6988948522fc691a867245313ec0373581ab95ec66cf2b2"),
     (lambda: projective_local_colouring(5, 1), ["--local", "--r", "6"],
      "175c621c9bb67a23795076335e1e50b34a8656793db6daa856a5d54528d375f3"),
+    (lambda: affine_colouring(5, 8), [],
+     "2fc6b61bef8e572f086a5688ca167b2073b4e2aa739af4c71837272c58397cb7"),
 ]
 
 
 @pytest.mark.parametrize("make, flags, digest", GOLDEN_CERTIFICATES,
-                         ids=["random-n200-r5", "projective-q5-local"])
+                         ids=["random-n200-r5", "projective-q5-local", "affine-q5-mult8"])
 def test_prove_verify_golden_output(tmp_path, capsys, make, flags, digest):
     path = tmp_path / "c.txt"
     path.write_text(untidy_text(make()))
@@ -210,6 +238,19 @@ def test_prove_cert_to_stdout_is_bare_json(tmp_path, capsys):
     # the proper 3-colouring of K_4 has no two-edge monochromatic path, so
     # the certificate is the degenerate single-edge star meeting bound 2
     assert blob["order"] == 2 and blob["degenerate"] is True
+
+
+def test_prove_degenerate_certificate_to_a_file_prints_both_centres(tmp_path, capsys):
+    colouring = tmp_path / "k4.txt"
+    cert = tmp_path / "cert.json"
+    run(capsys, ["gen", "affine", "--q", "2", "--mult", "1", "--out", str(colouring)])
+    capsys.readouterr()
+    code, out, err = run(capsys, ["prove", str(colouring), "--cert", str(cert)])
+    assert code == 0 and err == ""
+    assert out == "proved: global r=3 colour 1, centres 0 2, order 2 >= 2 (degenerate)\n"
+    assert json.loads(cert.read_text())["centres"] == [0, 2]
+    code, out, _ = run(capsys, ["verify", "--cert", str(cert), str(colouring)])
+    assert code == 0 and out == "certificate accepted\n"
 
 
 def test_verify_tampered_certificate_exits_1(tmp_path, capsys):
@@ -300,6 +341,20 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, ["gen", "affine", "--q", "2"])[0] == 2  # missing --mult
     assert run(capsys, ["exhaust", "--n", "4", "--r", "3", "--mode", "star"])[0] == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    code, expected, _ = run(capsys, ["gen", "constant", "--n", "4", "--r", "2"])
+    assert code == 0
+    src = str(Path(tristar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "tristar", "gen", "constant", "--n", "4",
+                           "--r", "2"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    done = subprocess.run([sys.executable, "-m", "tristar", "frobnicate"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
 
 
 def test_help_exits_0(capsys):

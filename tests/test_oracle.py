@@ -15,7 +15,8 @@ from tristar.oracle import (EnumerationSpec, brute_max_double_star,
                             brute_max_triple_star, canonical_count,
                             enumerate_colourings, exhaustive_theorem_check)
 from tristar.oracle import _split_prefixes
-from tristar.stars import max_double_star, max_triple_star
+from tristar.stars import (max_double_star, max_double_star_order, max_triple_star,
+                           max_triple_star_order)
 
 K4_PROPER = EdgeColouring(4, 3, (1, 2, 3, 3, 2, 1))
 
@@ -72,6 +73,23 @@ def one_factorisation(n: int) -> EdgeColouring:
     return EdgeColouring(n, n - 1, tuple(colours))
 
 
+def assert_fast_finders_match_brute(c: EdgeColouring) -> None:
+    """Witness for witness, and the order-only kernels order for order."""
+    masks = c.view.masks
+    slow, fast = brute_max_double_star(c), max_double_star(c)
+    assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
+           (fast.colour, fast.centres, fast.order, fast.vertices)
+    assert max_double_star_order(masks, c.n, c.m) == slow.order
+    slow, fast = brute_max_triple_star(c), max_triple_star(c)
+    if slow is None:
+        assert fast is None
+        assert max_triple_star_order(masks, c.n, c.m) == 0
+    else:
+        assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
+               (fast.colour, fast.centres, fast.order, fast.vertices)
+        assert max_triple_star_order(masks, c.n, c.m) == slow.order
+
+
 def test_brute_agrees_with_fast_finders_on_tie_heavy_colourings():
     # Plane colourings tie across many colours, middles and centre edges;
     # shuffled labels move the first maximum away from vertex 0 and colour 1.
@@ -81,15 +99,49 @@ def test_brute_agrees_with_fast_finders_on_tie_heavy_colourings():
     cases += [one_factorisation(n) for n in (4, 6, 8)]
     cases += [relabelled(one_factorisation(n), rnd) for n in (6, 10)]
     for c in cases:
-        slow, fast = brute_max_double_star(c), max_double_star(c)
-        assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
-               (fast.colour, fast.centres, fast.order, fast.vertices)
-        slow, fast = brute_max_triple_star(c), max_triple_star(c)
-        if slow is None:
-            assert fast is None
-        else:
-            assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
-                   (fast.colour, fast.centres, fast.order, fast.vertices)
+        assert_fast_finders_match_brute(c)
+
+
+def late_cap_tie() -> EdgeColouring:
+    """Colour 1 is a tree A spanned by the path 2 - 0 - 3, every degree below 6,
+    and a clique B of the same order 14 that holds vertex 1; every other
+    colour is a matching.  The path through A is the best before the scan
+    meets a middle of degree 6 (vertex 1) and first takes the colour's
+    largest component, which equals that best; a later path 1 - 4 - 5 of B
+    ties it with a smaller u and must win."""
+    n = 28
+    leaves = list(range(17, 28))
+    tree = {0: [2, 3] + leaves[:3], 2: leaves[3:7], 3: leaves[7:11]}
+    clique = [1] + list(range(4, 17))
+    colours = [c + 1 for c in one_factorisation(n).colours]
+    for x, ys in tree.items():
+        for y in ys:
+            colours[edge_index(n, min(x, y), max(x, y))] = 1
+    for a, x in enumerate(clique):
+        for y in clique[a + 1:]:
+            colours[edge_index(n, x, y)] = 1
+    return EdgeColouring(n, n, tuple(colours))
+
+
+def test_bounded_scans_agree_with_brute_where_the_bounds_fire():
+    # A colour degree of 6 or more switches on the upper bounds that let the
+    # scans skip colours, middles and first leaves; constant colourings and
+    # shuffled plane blow-ups are full of ties the bounds must not skip.
+    rnd = random.Random(47)
+    planes = [affine_colouring(2, mult) for mult in (4, 6, 8)]
+    planes += [affine_colouring(3, mult) for mult in (3, 4)]
+    planes += [projective_local_colouring(2, mult) for mult in (3, 4, 5)]
+    planes += [projective_local_colouring(3, mult) for mult in (2, 3)]
+    cases = [constant_colouring(n, r) for n, r in ((12, 1), (23, 3), (28, 2))]
+    cases += [random_colouring(n, r, seed)
+              for seed, (n, r) in enumerate(((12, 2), (20, 2), (30, 2), (28, 3),
+                                             (33, 4), (26, 5), (40, 5)))]
+    cases += [relabelled(c, rnd) for c in planes]
+    cases += [relabelled(c, rnd) for c in planes if c.n <= 28]
+    cases.append(late_cap_tie())
+    for c in cases:
+        assert max(v.bit_count() for row in c.view.masks for v in row) >= 6
+        assert_fast_finders_match_brute(c)
 
 
 # --- enumeration -------------------------------------------------------------
