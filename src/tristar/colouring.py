@@ -7,6 +7,16 @@ Edge colours are stored in row-major upper-triangular order:
 Per-colour neighbourhoods are Python ints used as bit vectors, so unions
 and order counts are word-parallel (`|` and `int.bit_count`).
 
+Large colourings are also held as a label matrix: the symmetric n x n
+matrix of edge labels, 0 on the diagonal, in base-256 byte planes, each
+holding one digit of every cell, least significant first (one plane when
+m < 256).  A plane is filled with two slice assignments per row and read
+at C speed: a row's distinct labels are one `set` (or one memchr per
+label in use), and its colour-c mask is one `bytes.translate` per plane,
+mapping c's digit to '1' and every other byte to '0', read by
+`int(..., 2)` and ANDed over the planes.  Validation converts the edge
+list to the narrowest unsigned array for m and checks its range in C.
+
 The module also houses the registry of known guaranteed orders for
 monochromatic structures; every bound is a fractions.Fraction so
 comparisons never suffer float noise.
@@ -14,6 +24,8 @@ comparisons never suffer float noise.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,10 +90,161 @@ class EdgeColouring:
         masks = self.view.masks
         return ((),) + tuple(tuple(component_masks(masks[c])) for c in range(1, self.m + 1))
 
+    @cached_property
+    def labels(self) -> "LabelMatrix":
+        """The label matrix: locality, and mask rows at C speed on large colourings."""
+        matrix = LabelMatrix(self)
+        self.__dict__.pop("_flat", None)  # the matrix holds every label now
+        return matrix
+
+    def colour_rows(self, c: int) -> list[int]:
+        """Colour c's adjacency masks: bit v of [x] is set iff {x, v} has colour c.
+
+        The view's row once the view is built; otherwise this colour's rows
+        alone, from one translate per plane over the label matrix.
+        """
+        if "view" in self.__dict__ or self.n < _MATRIX_MIN_N:
+            return self.view.masks[c]
+        return self.labels.colour_rows(c)
+
+
+def _flat_labels(colouring: EdgeColouring):
+    """The labels in the narrowest unsigned array for m (bytes below 256).
+
+    A list when m needs more than 64 bits.  Raises TypeError, ValueError or
+    OverflowError when some label is no integer or does not fit.  Kept on
+    the colouring from validation until the label matrix takes it over.
+    """
+    flat = colouring.__dict__.get("_flat")
+    if flat is None:
+        code = _item_type(colouring.m.bit_length())
+        if code == "B":
+            flat = bytes(colouring.colours)
+        else:
+            flat = list(colouring.colours) if code is None else array(code, colouring.colours)
+        colouring.__dict__["_flat"] = flat
+    return flat
+
+
+_ITEM_BITS = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
+
+
+def _item_type(bits: int) -> str | None:
+    """Typecode of the narrowest native unsigned array item of at least `bits` bits; None above 64."""
+    for code, item_bits in _ITEM_BITS:
+        if bits <= item_bits:
+            return code
+    return None
+
+
+# Below this many vertices masks come from the per-edge loop alone: the
+# label matrix costs more than it saves (measured crossover n = 48-96).
+_MATRIX_MIN_N = 64
+
+
+def _digit_offsets(size: int) -> range:
+    """Byte offset of each base-256 digit inside a native unsigned item, least significant first."""
+    return range(size) if sys.byteorder == "little" else range(size - 1, -1, -1)
+
+
+def _digit_planes(flat, width: int) -> tuple[bytes, ...]:
+    """The first `width` base-256 digit planes of the labels, least significant first."""
+    if isinstance(flat, bytes):
+        return (flat,)
+    if isinstance(flat, array):
+        raw, size = flat.tobytes(), flat.itemsize
+        return tuple(raw[at::size] for at in _digit_offsets(size)[:width])
+    return tuple(bytes(c >> 8 * p & 255 for c in flat) for p in range(width))
+
+
+_ZEROS = b"0" * 256
+# _ONE[d]: a translate table mapping byte d to '1' and every other byte to '0'
+_ONE = tuple(_ZEROS[:d] + b"1" + _ZEROS[d + 1:] for d in range(256))
+
+
+class LabelMatrix:
+    """The symmetric n x n matrix of a colouring's labels, 0 on the diagonal.
+
+    planes[p] holds base-256 digit p of every cell (least significant
+    first), one byte per cell, back to front: row i is the slice at
+    (n-1-i)*n with column v at offset n-1-v, so a row translated to
+    '0'/'1' reads as a binary numeral with bit v for column v.
+    """
+
+    def __init__(self, colouring: EdgeColouring):
+        n = self.n = colouring.n
+        self.m = colouring.m
+        self.planes = []
+        for digits in _digit_planes(_flat_labels(colouring), (self.m.bit_length() + 7) // 8 or 1):
+            cells = bytearray(n * n)
+            k = 0
+            for i in range(n - 1):
+                seg = digits[k:k + n - 1 - i]
+                k += n - 1 - i
+                cells[i * n + i + 1:(i + 1) * n] = seg  # row i, right of the diagonal
+                cells[(i + 1) * n + i::n] = seg  # column i, below it
+            cells.reverse()
+            self.planes.append(cells)
+
+    def rows(self, i: int) -> list[bytearray]:
+        """Row i of each plane, back to front."""
+        lo = (self.n - 1 - i) * self.n
+        return [plane[lo:lo + self.n] for plane in self.planes]
+
+    @cached_property
+    def row_labels(self) -> list[tuple[int, ...]]:
+        """The distinct labels of each row, the diagonal's 0 left out.
+
+        With one-byte labels and few of them in use, a search for each label
+        in the row (memchr) is cheaper than a set of the row's n cells.
+        """
+        n, planes = self.n, self.planes
+        if len(planes) == 1:
+            cells = planes[0]
+            used = [c for c in range(1, self.m + 1) if c in cells]
+            if len(used) * 16 < n:
+                return [tuple(c for c in used if cells.find(c, lo, lo + n) >= 0)
+                        for lo in range(n * n - n, -1, -n)]
+        # a row's digits interleaved into native items, read back as labels
+        code = _item_type(8 * len(planes))
+        size = array(code).itemsize if code else 0
+        result = []
+        for i in range(n):
+            rows = self.rows(i)
+            if code:
+                cells = bytearray(n * size)
+                for at, row in zip(_digit_offsets(size), rows):
+                    cells[at::size] = row
+                labels = set(memoryview(cells).cast(code))
+            else:  # labels wider than 64 bits
+                labels = {int.from_bytes(digits, "little") for digits in set(zip(*rows))}
+            labels.discard(0)
+            result.append(tuple(labels))
+        return result
+
+    def colour_rows(self, c: int) -> list[int]:
+        """Colour c's masks, one translate per plane over the whole matrix."""
+        n = self.n
+        rows = None
+        for p, plane in enumerate(self.planes):
+            bits = plane.translate(_ONE[c >> 8 * p & 255])
+            part = [int(bits[lo:lo + n], 2) for lo in range(n * n - n, -1, -n)]
+            rows = part if rows is None else list(map(int.__and__, rows, part))
+        return rows
+
 
 def colour_masks(n: int, m: int, colours) -> list[list[int]]:
-    """masks[c][x] has bit v set iff edge {x, v} has colour c; row 0 stays empty."""
+    """masks[c][x] has bit v set iff edge {x, v} has colour c; row 0 stays empty.
+
+    Every colour gets a row of its own, so callers may edit the masks.
+    """
     masks = [[0] * n for _ in range(m + 1)]
+    _add_edges(masks, n, colours)
+    return masks
+
+
+def _add_edges(masks: list[list[int]], n: int, colours) -> None:
+    """The per-edge loop: set both bits of every edge in its colour's rows."""
     k = 0
     for i in range(n - 1):
         one = 1 << i
@@ -90,16 +253,80 @@ def colour_masks(n: int, m: int, colours) -> list[list[int]]:
             row[i] |= 1 << j
             row[j] |= one
             k += 1
+
+
+def _palette(n: int, m: int, used) -> list:
+    """Rows for the used colours; every other colour shares one read-only empty row."""
+    empty = (0,) * n
+    masks = [empty] * (m + 1)
+    for c in used:
+        masks[c] = [0] * n
+    return masks
+
+
+# A row's mask for one plane digit costs one translate and one int() of
+# the row, about _ROW_COST + n units; the per-edge loop costs about
+# _EDGE_COST units per cell.  Each row takes whichever is cheaper for its
+# own labels, and with no row cheaper by translate the whole colouring
+# takes the per-edge loop, which sets both bits of an edge at one visit.
+_ROW_COST = 120
+_EDGE_COST = 46
+
+
+def _conversions(hues: tuple[int, ...], width: int) -> int:
+    """Translates a row with these labels needs: one per distinct digit in each plane."""
+    return sum(len({c >> 8 * p & 255 for c in hues}) for p in range(width))
+
+
+def _matrix_masks(colouring: EdgeColouring) -> list:
+    labels = colouring.labels
+    n, width = labels.n, len(labels.planes)
+    row_labels = labels.row_labels
+    masks = _palette(n, colouring.m, set().union(*row_labels))
+    limit = _EDGE_COST * n
+    by_translate = [_conversions(hues, width) * (_ROW_COST + n) < limit for hues in row_labels]
+    if not any(by_translate):
+        _add_edges(masks, n, colouring.colours)
+        return masks
+    for i, hues in enumerate(row_labels):
+        rows = labels.rows(i)
+        if by_translate[i]:
+            digit_masks = [{} for _ in rows]  # one translate per distinct digit
+            for c in hues:
+                mask = -1
+                for p, row in enumerate(rows):
+                    digit = c >> 8 * p & 255
+                    bits = digit_masks[p].get(digit)
+                    if bits is None:
+                        bits = digit_masks[p][digit] = int(row.translate(_ONE[digit]), 2)
+                    mask &= bits
+                masks[c][i] = mask
+        else:
+            acc = {}
+            for v, digits in enumerate(zip(*map(reversed, rows))):
+                acc[digits] = acc.get(digits, 0) | 1 << v
+            for digits, bits in acc.items():
+                c = int.from_bytes(digits, "little")
+                if c:  # not the diagonal
+                    masks[c][i] = bits
     return masks
 
 
 class ColourClassView:
-    """Per-colour adjacency bit masks: bit v of masks[c][x] is set iff {x,v} has colour c."""
+    """Per-colour adjacency bit masks: bit v of masks[c][x] is set iff {x,v} has colour c.
+
+    Only colours that occur get rows of their own; the others share one
+    read-only empty row.
+    """
 
     def __init__(self, colouring: EdgeColouring):
-        self.n = colouring.n
-        self.m = colouring.m
-        self.masks = colour_masks(colouring.n, colouring.m, colouring.colours)
+        self.n = n = colouring.n
+        self.m = m = colouring.m
+        if n >= _MATRIX_MIN_N:
+            self.masks = _matrix_masks(colouring)
+        else:
+            self.masks = _palette(n, m, set(colouring.colours))
+            _add_edges(self.masks, n, colouring.colours)
 
     def neighbours(self, c: int, v: int) -> int:
         return self.masks[c][v]
@@ -136,10 +363,37 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     have = len(colouring.colours)
     if have != want:
         problems.append(f"missing or surplus edge colours: expected {want}, found {have}")
-    for k, c in enumerate(colouring.colours[: min(have, want)]):
-        if not isinstance(c, int) or not 1 <= c <= m:
-            problems.append(f"label out of range at edge position {k}: {c!r}")
+    count = min(have, want)
+    if not _labels_in_range(colouring, count):
+        # word each violation; only reached when some label is out of range
+        for k, c in enumerate(colouring.colours[:count]):
+            if not isinstance(c, int) or not 1 <= c <= m:
+                problems.append(f"label out of range at edge position {k}: {c!r}")
     return ValidationReport(tuple(problems))
+
+
+def _labels_in_range(colouring: EdgeColouring, count: int) -> bool:
+    """Whether the first `count` labels all lie in 1..m, checked in C.
+
+    False when it cannot tell: a label that is no integer or does not fit
+    the array type of m, or m above 64 bits.
+    """
+    m = colouring.m
+    if m < 1:
+        return False
+    try:
+        flat = _flat_labels(colouring)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    if isinstance(flat, list):
+        return False
+    head = flat[:count]
+    if isinstance(head, bytes):
+        return not head.translate(None, _BYTES[1:m + 1])
+    return not head or 1 <= min(head) and max(head) <= m
+
+
+_BYTES = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -161,19 +415,8 @@ class LocalityReport:
 
 
 def locality(colouring: EdgeColouring) -> LocalityReport:
-    n = colouring.n
-    incident = [set() for _ in range(n)]
-    k = 0
-    cols = colouring.colours
-    for i in range(n - 1):
-        seen_i = incident[i]
-        for j in range(i + 1, n):
-            c = cols[k]
-            k += 1
-            seen_i.add(c)
-            incident[j].add(c)
-    return LocalityReport(tuple(frozenset(s) for s in incident),
-                          max(len(s) for s in incident))
+    incident = tuple(map(frozenset, colouring.labels.row_labels))
+    return LocalityReport(incident, max(map(len, incident)))
 
 
 def component_masks(row: list[int]):
@@ -241,7 +484,7 @@ def subgraph_diameter(colouring: EdgeColouring, c: int, vertices) -> int | None:
         raise ValueError("vertex set must be nonempty")
     if verts[0] < 0 or verts[-1] >= colouring.n:
         raise ValueError("vertex out of range")
-    masks = colouring.view.masks[c]
+    masks = colouring.colour_rows(c)
     inside = 0
     for v in verts:
         inside |= 1 << v

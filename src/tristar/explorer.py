@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .colouring import EdgeColouring, colour_masks, iter_bits, proven_floor
 from .errors import TheoremViolation
+from .generators import _MAX_N
 from .oracle import _component_order
 from .rng import SplitMix64
 from .stars import SINGLE_EDGE, max_double_star_order, max_triple_star_order
@@ -44,6 +45,9 @@ class SearchConfig:
     def check(self) -> None:
         if self.n < 2:
             raise ValueError("n >= 2 required")
+        if self.n > _MAX_N:
+            raise ValueError(f"n = {self.n} too large: the search keeps all "
+                             f"{self.n * (self.n - 1) // 2} edges, at most n = {_MAX_N}")
         if self.r < 2:
             raise ValueError("r >= 2 required: with one colour there is no move to make")
         if self.objective not in ("double", "triple", "component"):

@@ -304,6 +304,7 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
     degenerate_floor = SINGLE_EDGE if mode == "triple" else 0
     pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
     length = len(pairs)
+    top = min(r, length)  # a restricted-growth string of this length uses no more colours
     bit = [1 << v for v in range(n)]
     processed = 0
     best = n + 1
@@ -323,13 +324,13 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
                                       proved, False))
         # Built inline from the pair table: calling colouring.colour_masks
         # here made the K5/K6 scans 7-9% slower.
-        masks = [[0] * n for _ in range(r + 1)]
+        masks = [[0] * n for _ in range(top + 1)]
         for k in range(length):
             row = masks[a[k]]
             i, j = pairs[k]
             row[i] |= bit[j]
             row[j] |= bit[i]
-        value = value_of(masks, n, r)
+        value = value_of(masks, n, top)
         if value < degenerate_floor:
             value = degenerate_floor
         bad = threshold is not None and value < threshold

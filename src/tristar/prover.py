@@ -232,6 +232,7 @@ def verify_certificate(colouring: EdgeColouring, cert: TripleStarCertificate) ->
     if not verts or list(verts) != sorted(set(verts)) or verts[0] < 0 or verts[-1] >= n:
         failures.append("vertex list invalid: must be nonempty, strictly increasing, in range")
         return VerificationReport(tuple(failures))
+    masks = colouring.colour_rows(cert.colour)  # the only colour read below
     for v in cert.centres:
         if v not in verts:
             failures.append(f"centre {v} missing from vertex set")
@@ -242,7 +243,6 @@ def verify_certificate(colouring: EdgeColouring, cert: TripleStarCertificate) ->
         if tuple(sorted(cert.centres)) != verts:
             failures.append("degenerate witness must consist of exactly its centre edge")
     else:
-        masks = colouring.view.masks[cert.colour]
         union = 0
         for v in cert.centres:
             union |= masks[v]
@@ -257,7 +257,7 @@ def verify_certificate(colouring: EdgeColouring, cert: TripleStarCertificate) ->
         failures.append(f"order below bound: {cert.order} < {cert.bound}")
 
     root = cert.centres[0] if cert.degenerate else cert.centres[1]
-    if not _within_two(colouring.view.masks[cert.colour], root, verts):
+    if not _within_two(masks, root, verts):
         dia = subgraph_diameter(colouring, cert.colour, verts)
         if dia is None:
             failures.append("witness disconnected in its colour")

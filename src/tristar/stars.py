@@ -80,23 +80,46 @@ def _largest_component(row: list[int]) -> int:
     return max((comp.bit_count() for comp in component_masks(row)), default=0)
 
 
+def _has_component_above(row: list[int], bound: int) -> bool:
+    """Whether some component of one colour class has more than `bound` vertices.
+
+    The BFS stops as soon as a component under way grows past the bound.
+    """
+    unseen = 0
+    for mask in row:
+        unseen |= mask
+    while unseen.bit_count() > bound:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= row[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & ~comp
+            comp |= frontier
+            if comp.bit_count() > bound:
+                return True
+        unseen &= ~comp
+    return False
+
+
 def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int]:
     """(order, c, x, y) of the first maximum double star; order 0 without edges.
 
     Centre edges are scanned by colour, then lexicographically, which is the
     tie-break order, so only a strict improvement is recorded.  No double
     star is larger than the largest component of its colour: once the best
-    exceeds _BOUND_DEGREE, a colour whose cap is no larger is skipped, and
-    a colour is left as soon as the best reaches its cap.
+    exceeds _BOUND_DEGREE, a colour with no component larger than the best
+    is skipped, and a colour is left as soon as the best reaches its cap,
+    the order of its largest component, taken on the first improvement.
     """
     best = best_c = best_x = best_y = 0
     for c in range(1, m + 1):
         row = masks[c]
         cap = 0  # not taken yet
-        if best > _BOUND_DEGREE:
-            cap = _largest_component(row)
-            if cap <= best:
-                continue
+        if best > _BOUND_DEGREE and not _has_component_above(row, best):
+            continue
         for x in range(n - 1):
             mx = row[x]
             high = mx >> (x + 1)

@@ -128,13 +128,17 @@ GOLDEN_ANALYSES = [
      "25e317ef661f01010d91a1c281ac4a70669b52f332451f687a9d9c6d0d637a16"),
     (lambda: random_colouring(120, 3, 7),
      "950a913fb5508af9c83d0f029bfbe11f1ff678a054d34e180af318e8dfa1abd6"),
+    # recorded before the label matrix: 307 labels, two byte planes
+    (lambda: vertex_shuffled(projective_local_colouring(17, 1), 17),
+     "a558b188d40e46728daffed2dbd83f008a3dc98bad0c1a699b995fd956613354"),
 ]
 
 
 @pytest.mark.parametrize("make, digest", GOLDEN_ANALYSES,
                          ids=["affine-q5-mult2-shuffled", "projective-q3", "random-n60-r3",
                               "affine-q7-mult3-shuffled", "affine-q7-mult3-shuffled-hues",
-                              "projective-q5-mult5", "random-n150-r5", "random-n120-r3"])
+                              "projective-q5-mult5", "random-n150-r5", "random-n120-r3",
+                              "projective-q17-shuffled"])
 def test_analyze_json_golden_output(tmp_path, capsys, make, digest):
     path = tmp_path / "c.txt"
     path.write_text(format_colouring(make()))
@@ -210,11 +214,15 @@ GOLDEN_CERTIFICATES = [
      "175c621c9bb67a23795076335e1e50b34a8656793db6daa856a5d54528d375f3"),
     (lambda: affine_colouring(5, 8), [],
      "2fc6b61bef8e572f086a5688ca167b2073b4e2aa739af4c71837272c58397cb7"),
+    # recorded before the label matrix: 307 labels, two byte planes
+    (lambda: vertex_shuffled(projective_local_colouring(17, 1), 17), ["--local", "--r", "18"],
+     "9243ec221305412d7776b5398c3bccbabdbcb25771b8dc7d9a84c9b4b37aa86e"),
 ]
 
 
 @pytest.mark.parametrize("make, flags, digest", GOLDEN_CERTIFICATES,
-                         ids=["random-n200-r5", "projective-q5-local", "affine-q5-mult8"])
+                         ids=["random-n200-r5", "projective-q5-local", "affine-q5-mult8",
+                              "projective-q17-shuffled-local"])
 def test_prove_verify_golden_output(tmp_path, capsys, make, flags, digest):
     path = tmp_path / "c.txt"
     path.write_text(untidy_text(make()))
@@ -332,6 +340,29 @@ def test_search_reports_a_parseable_best(capsys):
                     if line.startswith("best ")).split()[1])
     colouring = parse_colouring(out.split("best colouring:\n", 1)[1])
     assert objective(colouring, "triple") == best >= 2
+
+
+# sha256 of `search` stdout where the start misses a colour (three edges, four
+# colours), recorded before views shared one row among unused colours; anneal
+# keeps a row of its own for every colour, since a move may bring one in
+GOLDEN_SEARCHES = [
+    (["--n", "3", "--r", "4", "--objective", "triple", "--iters", "30", "--seed", "5", "--restarts", "3"],
+     "78f88b70e204de28c5c10a5d3bf9fdd715a03c0a670e5764c75873201f79a062"),
+    (["--n", "3", "--r", "4", "--objective", "double", "--iters", "30", "--seed", "5", "--restarts", "3"],
+     "147b06113c007d514c55c243820457b5f43023dd4e1ced47af6a3940bc66fc64"),
+    (["--n", "3", "--r", "4", "--objective", "component", "--iters", "30", "--seed", "5", "--restarts", "3"],
+     "acf4644d1b2ed1b4d7fdc31fe4d5edd01d18dab8af461f710712728a00a65a9c"),
+    (["--n", "4", "--r", "9", "--objective", "triple", "--iters", "40", "--seed", "2", "--restarts", "2"],
+     "76260de5915e8e94f1908c9d92e2d6c17e8513bc9f0784b18fffe665a45aec21"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SEARCHES,
+                         ids=["n3-r4-triple", "n3-r4-double", "n3-r4-component", "n4-r9-triple"])
+def test_search_golden_output_with_unused_colours(capsys, argv, digest):
+    code, out, err = run(capsys, ["search", *argv])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- parser edges ------------------------------------------------------------
