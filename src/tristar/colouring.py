@@ -14,8 +14,9 @@ m < 256).  A plane is filled with two slice assignments per row and read
 at C speed: a row's distinct labels are one `set` (or one memchr per
 label in use), and its colour-c mask is one `bytes.translate` per plane,
 mapping c's digit to '1' and every other byte to '0', read by
-`int(..., 2)` and ANDed over the planes.  Validation converts the edge
-list to the narrowest unsigned array for m and checks its range in C.
+`int(..., 2)` and ANDed over the planes.  Validation checks the label
+types, converts the edge list to the narrowest unsigned array for m and
+checks its range, all in C.
 
 The module also houses the registry of known guaranteed orders for
 monochromatic structures; every bound is a fractions.Fraction so
@@ -93,9 +94,7 @@ class EdgeColouring:
     @cached_property
     def labels(self) -> "LabelMatrix":
         """The label matrix: locality, and mask rows at C speed on large colourings."""
-        matrix = LabelMatrix(self)
-        self.__dict__.pop("_flat", None)  # the matrix holds every label now
-        return matrix
+        return LabelMatrix(self)
 
     def colour_rows(self, c: int) -> list[int]:
         """Colour c's adjacency masks: bit v of [x] is set iff {x, v} has colour c.
@@ -108,22 +107,16 @@ class EdgeColouring:
         return self.labels.colour_rows(c)
 
 
-def _flat_labels(colouring: EdgeColouring):
+def _flat_labels(m: int, colours):
     """The labels in the narrowest unsigned array for m (bytes below 256).
 
     A list when m needs more than 64 bits.  Raises TypeError, ValueError or
-    OverflowError when some label is no integer or does not fit.  Kept on
-    the colouring from validation until the label matrix takes it over.
+    OverflowError when some label is no integer or does not fit.
     """
-    flat = colouring.__dict__.get("_flat")
-    if flat is None:
-        code = _item_type(colouring.m.bit_length())
-        if code == "B":
-            flat = bytes(colouring.colours)
-        else:
-            flat = list(colouring.colours) if code is None else array(code, colouring.colours)
-        colouring.__dict__["_flat"] = flat
-    return flat
+    code = _item_type(m.bit_length())
+    if code == "B":
+        return bytes(colours)
+    return list(colours) if code is None else array(code, colours)
 
 
 _ITEM_BITS = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
@@ -175,7 +168,7 @@ class LabelMatrix:
         n = self.n = colouring.n
         self.m = colouring.m
         self.planes = []
-        for digits in _digit_planes(_flat_labels(colouring), (self.m.bit_length() + 7) // 8 or 1):
+        for digits in _digit_planes(_flat_labels(self.m, colouring.colours), (self.m.bit_length() + 7) // 8 or 1):
             cells = bytearray(n * n)
             k = 0
             for i in range(n - 1):
@@ -266,9 +259,8 @@ def _palette(n: int, m: int, used) -> list:
 
 # A row's mask for one plane digit costs one translate and one int() of
 # the row, about _ROW_COST + n units; the per-edge loop costs about
-# _EDGE_COST units per cell.  Each row takes whichever is cheaper for its
-# own labels, and with no row cheaper by translate the whole colouring
-# takes the per-edge loop, which sets both bits of an edge at one visit.
+# _EDGE_COST units per cell, and sets both bits of an edge at one visit.
+# A colouring takes whichever is cheaper summed over all its rows.
 _ROW_COST = 120
 _EDGE_COST = 46
 
@@ -283,32 +275,22 @@ def _matrix_masks(colouring: EdgeColouring) -> list:
     n, width = labels.n, len(labels.planes)
     row_labels = labels.row_labels
     masks = _palette(n, colouring.m, set().union(*row_labels))
-    limit = _EDGE_COST * n
-    by_translate = [_conversions(hues, width) * (_ROW_COST + n) < limit for hues in row_labels]
-    if not any(by_translate):
+    translates = sum(_conversions(hues, width) for hues in row_labels)
+    if translates * (_ROW_COST + n) >= _EDGE_COST * n * n:
         _add_edges(masks, n, colouring.colours)
         return masks
     for i, hues in enumerate(row_labels):
         rows = labels.rows(i)
-        if by_translate[i]:
-            digit_masks = [{} for _ in rows]  # one translate per distinct digit
-            for c in hues:
-                mask = -1
-                for p, row in enumerate(rows):
-                    digit = c >> 8 * p & 255
-                    bits = digit_masks[p].get(digit)
-                    if bits is None:
-                        bits = digit_masks[p][digit] = int(row.translate(_ONE[digit]), 2)
-                    mask &= bits
-                masks[c][i] = mask
-        else:
-            acc = {}
-            for v, digits in enumerate(zip(*map(reversed, rows))):
-                acc[digits] = acc.get(digits, 0) | 1 << v
-            for digits, bits in acc.items():
-                c = int.from_bytes(digits, "little")
-                if c:  # not the diagonal
-                    masks[c][i] = bits
+        digit_masks = [{} for _ in rows]  # one translate per distinct digit
+        for c in hues:
+            mask = -1
+            for p, row in enumerate(rows):
+                digit = c >> 8 * p & 255
+                bits = digit_masks[p].get(digit)
+                if bits is None:
+                    bits = digit_masks[p][digit] = int(row.translate(_ONE[digit]), 2)
+                mask &= bits
+            masks[c][i] = mask
     return masks
 
 
@@ -373,26 +355,28 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
 
 
 def _labels_in_range(colouring: EdgeColouring, count: int) -> bool:
-    """Whether the first `count` labels all lie in 1..m, checked in C.
+    """Whether the first `count` labels are all ints in 1..m, checked in C.
 
-    False when it cannot tell: a label that is no integer or does not fit
+    False when it cannot tell: a label of another type (the array
+    conversion would take anything with __index__), one that does not fit
     the array type of m, or m above 64 bits.
     """
     m = colouring.m
-    if m < 1:
+    head = colouring.colours[:count]
+    if m < 1 or not set(map(type, head)) <= _INT_TYPES:
         return False
     try:
-        flat = _flat_labels(colouring)
+        flat = _flat_labels(m, head)
     except (TypeError, ValueError, OverflowError):
         return False
     if isinstance(flat, list):
         return False
-    head = flat[:count]
-    if isinstance(head, bytes):
-        return not head.translate(None, _BYTES[1:m + 1])
-    return not head or 1 <= min(head) and max(head) <= m
+    if isinstance(flat, bytes):
+        return not flat.translate(None, _BYTES[1:m + 1])
+    return not flat or 1 <= min(flat) and max(flat) <= m
 
 
+_INT_TYPES = {int, bool}
 _BYTES = bytes(range(256))
 
 

@@ -80,30 +80,6 @@ def _largest_component(row: list[int]) -> int:
     return max((comp.bit_count() for comp in component_masks(row)), default=0)
 
 
-def _has_component_above(row: list[int], bound: int) -> bool:
-    """Whether some component of one colour class has more than `bound` vertices.
-
-    The BFS stops as soon as a component under way grows past the bound.
-    """
-    unseen = 0
-    for mask in row:
-        unseen |= mask
-    while unseen.bit_count() > bound:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= row[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & ~comp
-            comp |= frontier
-            if comp.bit_count() > bound:
-                return True
-        unseen &= ~comp
-    return False
-
-
 def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int]:
     """(order, c, x, y) of the first maximum double star; order 0 without edges.
 
@@ -118,7 +94,7 @@ def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int,
     for c in range(1, m + 1):
         row = masks[c]
         cap = 0  # not taken yet
-        if best > _BOUND_DEGREE and not _has_component_above(row, best):
+        if best > _BOUND_DEGREE and not any(comp.bit_count() > best for comp in component_masks(row)):
             continue
         for x in range(n - 1):
             mx = row[x]

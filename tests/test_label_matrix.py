@@ -3,7 +3,7 @@
 Mask views, single-colour rows, locality and validation are each checked
 against a plain per-edge loop kept here, over labels on both sides of
 every byte boundary, on both mask paths (per-edge and label matrix) and
-with rows forced to either per-row method.
+with every row forced to translate.
 """
 from __future__ import annotations
 
@@ -88,14 +88,13 @@ def colourings(draw, n_max: int = 60):
     return EdgeColouring(n, m, colours)
 
 
-# Each mask path: the per-edge loop alone, the label matrix with each row's
-# cheaper method, and the label matrix forced to translate every row or to
-# the per-edge loop on every row.
+# Each mask path: the per-edge loop alone, the label matrix with the
+# cheaper method for the colouring, and the label matrix forced to
+# translate every row.
 PATHS = {
     "per-edge": {},
     "matrix": {"_MATRIX_MIN_N": 2},
     "matrix-translate": {"_MATRIX_MIN_N": 2, "_EDGE_COST": 10 ** 9},
-    "matrix-mixed": {"_MATRIX_MIN_N": 2, "_EDGE_COST": 3, "_ROW_COST": 0},
 }
 
 
@@ -142,7 +141,20 @@ def test_locality_matches_the_per_edge_loop(mask_path, c):
     assert report.locality == max(map(len, incident))
 
 
-BAD_LABELS = (0, -1, True, 2.0, "3", 2 ** 70, "m+1")
+class Index:
+    """Not an int, but bytes() and array() would convert it to one."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"Index({self.value})"
+
+
+BAD_LABELS = (0, -1, True, 2.0, "3", 2 ** 70, "m+1", Index(1))
 
 
 @EXAMPLES
@@ -164,14 +176,17 @@ def test_validation_matches_the_per_label_loop(c, data):
 def test_validation_edge_cases_word_each_violation():
     for n, m, colours in [(1, 1, ()), (3, 0, (0, 0, 0)), (3, -2, (1, 1, 1)), (3, 2 ** 70, (1, 2 ** 70, 3)),
                           (3, 2 ** 70, (1, 2 ** 70 + 1, 0)), (3, 257, (True, 257, 258)),
-                          (3, 3, (1, 2)), (3, 3, (1, 2, 3, 4, "x"))]:
+                          (3, 3, (1, 2)), (3, 3, (1, 2, 3, 4, "x")),
+                          # bytes() and array() would read Index(2) as 2
+                          (3, 3, (1, Index(2), 1)), (3, 300, (1, Index(2), 1)),
+                          (3, 70000, (1, Index(2), 1)), (3, 2 ** 40, (Index(2), 1, 1))]:
         probe = EdgeColouring(n, m, colours)
         assert _find_violations(probe).violations == reference_violations(n, m, colours)
 
 
-def test_rows_mix_both_methods_on_one_colouring():
-    # vertex 0 meets every colour, every other edge has colour 1: at n = 80
-    # row 0 takes the per-edge loop and the other rows a translate
+def test_a_row_meeting_every_colour_keeps_the_masks_exact():
+    # vertex 0 meets every colour, every other edge has colour 1: one costly
+    # row among cheap ones, which the colouring as a whole translates
     n, m = 80, 300
     colours = [c + 1 for c in range(n - 1)] + [1] * (edge_count(n) - (n - 1))
     c = EdgeColouring(n, m, tuple(colours))

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from tristar.colouring import EdgeColouring, edge_count, max_component
-from tristar.stars import (_has_component_above, _largest_component, double_star_order,
-                           max_double_star, max_double_star_order, max_triple_star,
+from tristar.stars import (double_star_order, max_double_star,
+                           max_double_star_order, max_triple_star,
                            max_triple_star_order, triple_star_order)
 
 K4_PROPER = EdgeColouring(4, 3, (1, 2, 3, 3, 2, 1))
@@ -178,14 +178,3 @@ def test_mask_level_orders_match_witness_level():
         assert max_double_star_order(masks, n, m) == max_double_star(c).order
         ts = max_triple_star(c)
         assert max_triple_star_order(masks, n, m) == (0 if ts is None else ts.order)
-
-
-def test_early_stopping_component_test_agrees_with_the_full_bfs():
-    # the double scan's colour skip asks only whether a component beats the best
-    rng = random.Random(11)
-    for _ in range(60):
-        c = random_colours(rng, rng.randint(2, 40), rng.randint(1, 12))
-        for row in c.view.masks[1:]:
-            largest = _largest_component(row)
-            for bound in range(max(largest - 3, 0), largest + 3):
-                assert _has_component_above(row, bound) == (largest > bound)
