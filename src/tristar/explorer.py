@@ -123,7 +123,7 @@ def anneal(config: SearchConfig) -> SearchOutcome:
         masks = colour_masks(n, r, colours)
         if config.objective == "component":
             stars = None
-            value = _component_order(masks, n, r)
+            value = _component_order(masks, n, r, n + 1)
         else:
             stars = StarHistogram(config.objective, masks, n, r)
             value = stars.top
@@ -140,7 +140,7 @@ def anneal(config: SearchConfig) -> SearchOutcome:
             i, j = pairs[k]
             if stars is None:
                 _recolour(masks, i, j, old, new)
-                candidate = _component_order(masks, n, r)
+                candidate = _component_order(masks, n, r, n + 1)
             else:
                 candidate = stars.move(i, j, old, new)
             evaluations += 1
@@ -165,7 +165,7 @@ def _mask_objective(kind: str):
     if kind == "double":
         return max_double_star_order
     if kind == "component":
-        return _component_order
+        return lambda masks, n, m: _component_order(masks, n, m, n + 1)
     if kind == "triple":
         def triple(masks, n, m):
             value = max_triple_star_order(masks, n, m)

@@ -9,6 +9,16 @@ row-major order: the first edge gets colour 1 and colour j+1 may first
 appear only after colour j, so each colour-relabelling class shows up
 exactly once.  Every star or component order is invariant under
 relabelling, which is what makes the quotient sound for these checks.
+
+The exhaustive checks report only the minimum of the per-colouring maxima
+and the colourings below the proven threshold, so each order-only scan
+stops as soon as its best reaches max(running minimum, threshold): a value
+below that stop is exact, and one at or above it changes nothing in the
+report.  The cutoff changes how far a scan runs, never which colourings
+are scanned, so the quotient stays sound.  The colour masks are kept live
+along the walk: the next restricted-growth string differs from the last
+only in the suffix from its last label other than 1, so only those edges
+move.
 """
 from __future__ import annotations
 
@@ -19,11 +29,14 @@ from fractions import Fraction
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
-from .colouring import EdgeColouring, component_masks, proven_floor
+from .colouring import EdgeColouring, colour_masks, component_masks, proven_floor
 from .errors import BudgetExceededError, TheoremViolation
+from .generators import _MAX_N
 from .prover import prove_global, verify_certificate
-from .stars import (SINGLE_EDGE, DoubleStarWitness, TripleStarWitness,
-                    max_double_star_order, max_triple_star_order)
+# The three-argument max_*_order kernels are not called here; they stay
+# importable from this module because the benchmark's trace swaps them.
+from .stars import (SINGLE_EDGE, DoubleStarWitness, TripleStarWitness, _double_scan,
+                    _triple_scan, max_double_star_order, max_triple_star_order)
 
 Q = Fraction
 
@@ -145,6 +158,43 @@ def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[lis
             return
 
 
+def _walk_masks(n: int, r: int,
+                prefix: tuple[int, ...]) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """(a, masks) for every restricted-growth string a extending `prefix`, as _iter_rgs yields it.
+
+    masks are the colour masks of a over the row-major edges of K_n, with
+    min(r, C(n,2)) colours.  Both are reused buffers: masks is one table
+    built in full for the first string and then kept in step with a, by
+    moving only the edges of the suffix that starts at a's last label other
+    than 1, the only labels that differ from the string before.
+    """
+    ends = [(i, j, 1 << i, 1 << j) for i in range(n - 1) for j in range(i + 1, n)]
+    last = len(ends) - 1
+    strings = _iter_rgs(len(ends), r, prefix)
+    a = next(strings)
+    masks = colour_masks(n, min(r, len(ends)), a)
+    seen = list(a)  # the labels the masks hold
+    yield a, masks
+    for a in strings:
+        k = last
+        while True:
+            new = a[k]
+            old = seen[k]
+            if old != new:
+                i, j, bi, bj = ends[k]
+                row = masks[old]
+                row[i] ^= bj
+                row[j] ^= bi
+                row = masks[new]
+                row[i] |= bj
+                row[j] |= bi
+                seen[k] = new
+            if new != 1:
+                break
+            k -= 1
+        yield a, masks
+
+
 def enumerate_colourings(spec: EnumerationSpec) -> Iterator[EdgeColouring]:
     """Stream every r-colouring of K_n; canonical mode quotients colour relabelling.
 
@@ -201,23 +251,27 @@ class ExhaustReport:
         return self.violation_count == 0
 
 
-def _value_fn(mode: str) -> Callable[[list[list[int]], int, int], int]:
+def _value_fn(mode: str) -> Callable[[list[list[int]], int, int, int], int]:
+    """The mode's order-only scan, called as (masks, n, m, stop) -> order."""
     if mode == "triple":
-        return max_triple_star_order
+        return lambda masks, n, m, stop: _triple_scan(masks, n, m, stop)[0]
     if mode == "double":
-        return max_double_star_order
+        return lambda masks, n, m, stop: _double_scan(masks, n, m, stop)[0]
     if mode == "component":
         return _component_order
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _component_order(masks: list[list[int]], n: int, m: int) -> int:
+def _component_order(masks: list[list[int]], n: int, m: int, stop: int) -> int:
+    """Order of the largest monochromatic component, or some order >= stop once one reaches it."""
     best = 0
     for c in range(1, m + 1):
         for comp in component_masks(masks[c]):
             size = comp.bit_count()
             if size > best:
                 best = size
+                if size >= stop:
+                    return best
     return best
 
 
@@ -234,9 +288,19 @@ def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool =
     applies, any colouring below its ceiling is recorded as a violation.
     With prove on, the proof engine runs on every colouring and each
     certificate is independently verified; failures count as violations.
+
+    Each order-only scan stops once its best reaches max(minimum so far,
+    threshold), or the minimum so far without a threshold: a value below
+    that stop is exact, and a value at or above it can lower neither the
+    minimum nor add a violation, so the report is the one full scans give.
+    Colourings are still taken up to colour relabelling only, which every
+    order is invariant under, so the quotient stays sound.
     """
     if n < 2 or r < 2:
         raise ValueError("need n >= 2 and r >= 2")
+    if n > _MAX_N:
+        raise ValueError(f"n = {n} too large: the scan walks all {n * (n - 1) // 2} edges, "
+                         f"at most n = {_MAX_N}")
     if prove and r < 3:
         raise ValueError("prove mode needs r >= 3")
     _value_fn(mode)  # validate mode early
@@ -302,17 +366,14 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
     """
     value_of = _value_fn(mode)
     degenerate_floor = SINGLE_EDGE if mode == "triple" else 0
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    length = len(pairs)
-    top = min(r, length)  # a restricted-growth string of this length uses no more colours
-    bit = [1 << v for v in range(n)]
+    top = min(r, n * (n - 1) // 2)  # no restricted-growth string of this length uses more
     processed = 0
     best = n + 1
     best_colours: tuple[int, ...] = ()
     samples: list[tuple[int, ...]] = []
     violation_count = 0
     proved = 0
-    for a in _iter_rgs(length, r, prefix):
+    for a, masks in _walk_masks(n, r, prefix):
         if budget is not None and processed >= budget:
             raise BudgetExceededError(
                 processed,
@@ -322,15 +383,8 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
                                       violation_count,
                                       tuple(EdgeColouring(n, r, s) for s in samples),
                                       proved, False))
-        # Built inline from the pair table: calling colouring.colour_masks
-        # here made the K5/K6 scans 7-9% slower.
-        masks = [[0] * n for _ in range(top + 1)]
-        for k in range(length):
-            row = masks[a[k]]
-            i, j = pairs[k]
-            row[i] |= bit[j]
-            row[j] |= bit[i]
-        value = value_of(masks, n, top)
+        value = value_of(masks, n, top,
+                         best if threshold is None or best > threshold else threshold)
         if value < degenerate_floor:
             value = degenerate_floor
         bad = threshold is not None and value < threshold
@@ -356,5 +410,4 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
         if progress is not None and processed % progress_every == 0:
             progress(processed)
     return processed, best, best_colours, samples, violation_count, proved
-
 

@@ -16,6 +16,13 @@ neither exceed the best found so far nor tie it and win the tie-break, so
 the result is the one a scan over every candidate gives.  The witness
 finders and the order-only kernels are thin wrappers over it, so results
 are deterministic and the two always agree.
+
+A scan also takes a `stop` order.  Below it the result is exact; once the
+best reaches it the scan returns at once, with the first candidate in scan
+order whose order is >= stop, which may fall short of the maximum.  An
+exhaustive check that only asks whether a colouring's maximum falls below
+the running minimum passes that minimum; every other caller passes n + 1,
+which no order reaches.
 """
 from __future__ import annotations
 
@@ -80,8 +87,10 @@ def _largest_component(row: list[int]) -> int:
     return max((comp.bit_count() for comp in component_masks(row)), default=0)
 
 
-def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int]:
+def _double_scan(masks: list[list[int]], n: int, m: int, stop: int) -> tuple[int, int, int, int]:
     """(order, c, x, y) of the first maximum double star; order 0 without edges.
+
+    Returns early, with some order >= stop, once the best reaches `stop`.
 
     Centre edges are scanned by colour, then lexicographically, which is the
     tie-break order, so only a strict improvement is recorded.  No double
@@ -106,6 +115,8 @@ def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int,
                 order = (mx | row[y]).bit_count()
                 if order > best:
                     best, best_c, best_x, best_y = order, c, x, y
+                    if order >= stop:
+                        return best, best_c, best_x, best_y
                     if order > _BOUND_DEGREE:
                         if not cap:
                             cap = _largest_component(row)
@@ -117,10 +128,12 @@ def _double_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int,
     return best, best_c, best_x, best_y
 
 
-def _triple_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int, int, int]:
+def _triple_scan(masks: list[list[int]], n: int, m: int,
+                 stop: int) -> tuple[int, int, int, int, int]:
     """(order, c, u, x, w) of the maximum triple star with the smallest (c, u, x, w).
 
-    Order 0 when no colour admits a two-edge path.  Paths are scanned by
+    Order 0 when no colour admits a two-edge path.  Returns early, with some
+    order >= stop, once the best reaches `stop`.  Paths are scanned by
     colour, then middle x, then u < w.  Within one colour a later path that
     ties the best precedes it in key order exactly when its u is smaller.
 
@@ -174,6 +187,8 @@ def _triple_scan(masks: list[list[int]], n: int, m: int) -> tuple[int, int, int,
                     if order >= best:
                         if order > best:
                             best, best_c, best_u, best_x, best_w = order, c, u, x, w
+                            if order >= stop:
+                                return best, best_c, best_u, best_x, best_w
                         elif c == best_c and u < best_u:
                             best_u, best_x, best_w = u, x, w
     return best, best_c, best_u, best_x, best_w
@@ -185,7 +200,7 @@ def max_double_star(colouring: EdgeColouring) -> DoubleStarWitness:
     Ties break to the smallest colour, then lexicographically smallest (x, y).
     """
     masks = colouring.view.masks
-    order, c, x, y = _double_scan(masks, colouring.n, colouring.m)
+    order, c, x, y = _double_scan(masks, colouring.n, colouring.m, colouring.n + 1)
     if not order:
         raise ValueError("colouring has no edges")
     return DoubleStarWitness(c, (x, y), order, tuple(iter_bits(masks[c][x] | masks[c][y])))
@@ -198,7 +213,8 @@ def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
     a matching); that is a legitimate outcome, not an error.  Ties break on
     the smallest (colour, u, x, w) with u < w.
     """
-    order, c, u, x, w = _triple_scan(colouring.view.masks, colouring.n, colouring.m)
+    order, c, u, x, w = _triple_scan(colouring.view.masks, colouring.n, colouring.m,
+                                     colouring.n + 1)
     if not order:
         return None
     row = colouring.view.masks[c]
@@ -207,7 +223,7 @@ def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
 
 def max_double_star_order(masks: list[list[int]], n: int, m: int) -> int:
     """Order-only double-star maximum straight from colour masks (hot path)."""
-    return _double_scan(masks, n, m)[0]
+    return _double_scan(masks, n, m, n + 1)[0]
 
 
 def max_triple_star_order(masks: list[list[int]], n: int, m: int) -> int:
@@ -216,4 +232,4 @@ def max_triple_star_order(masks: list[list[int]], n: int, m: int) -> int:
     Returns 0 when no colour admits a two-edge path, mirroring
     max_triple_star's None.
     """
-    return _triple_scan(masks, n, m)[0]
+    return _triple_scan(masks, n, m, n + 1)[0]

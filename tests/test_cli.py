@@ -330,6 +330,41 @@ def test_exhaust_budget_partial_exits_1(capsys):
     assert "colourings_checked 50" in out
 
 
+# sha256 of `exhaust` stdout, recorded before the scans stopped at the running
+# minimum and the masks were kept live along the walk: the minimum, the
+# witness, the certificate count and the partial budget report must not move
+GOLDEN_EXHAUSTS = [
+    (["--n", "5", "--r", "4", "--mode", "triple", "--prove"], 0,
+     "b7faaddf8982cf50525f00406c7613a24944fad0b72d13bc59238095a8511139"),
+    (["--n", "5", "--r", "4", "--mode", "double"], 0,
+     "c186939bce5c11975a9fa73c818a9cff2b671e0349e40b3111701be530df9edd"),
+    (["--n", "5", "--r", "4", "--mode", "component"], 0,
+     "244dbaf0e960ef15d7003c2a7285d09208577fbbb0141dfd0e0b298a0f3ec1cc"),
+    (["--n", "6", "--r", "2", "--mode", "triple"], 0,
+     "dc9d4f457052bcca4e3ab6ddea2c687c45addb58b149118af33196aca580e45a"),
+    (["--n", "5", "--r", "4", "--mode", "triple", "--threads", "2"], 0,
+     "df334971dacf2869008779358f67b1c8e4e613d8dd530b079a2f7856d2f0ed1c"),
+    (["--n", "6", "--r", "3", "--mode", "triple", "--budget", "200000"], 1,
+     "6c2ecb90c262ffe6d86642928c543914eb7007da0599193a810dd3a5001f6792"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_EXHAUSTS,
+                         ids=["k5-r4-triple-prove", "k5-r4-double", "k5-r4-component",
+                              "k6-r2-triple", "k5-r4-triple-threads", "k6-r3-budget"])
+def test_exhaust_golden_output(capsys, argv, code, digest):
+    got, out, _ = run(capsys, ["exhaust", *argv])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exhaust_n_above_the_bound_exits_2(capsys):
+    code, out, err = run(capsys, ["exhaust", "--n", "2001", "--r", "3",
+                                  "--mode", "triple", "--budget", "5"])
+    assert code == 2 and out == ""
+    assert "too large" in err and "Traceback" not in err
+
+
 def test_search_reports_a_parseable_best(capsys):
     code, out, err = run(capsys, ["search", "--n", "4", "--r", "3",
                                   "--objective", "triple", "--iters", "120",

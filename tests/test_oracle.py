@@ -3,18 +3,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import islice, zip_longest
 
 import pytest
 
 import tristar.oracle as oracle_module
-from tristar.colouring import EdgeColouring, edge_count, edge_index
+from tristar.colouring import (EdgeColouring, colour_masks, component_masks, edge_count,
+                               edge_index)
 from tristar.errors import BudgetExceededError
 from tristar.generators import (affine_colouring, constant_colouring,
                                 projective_local_colouring, random_colouring)
 from tristar.oracle import (EnumerationSpec, brute_max_double_star,
                             brute_max_triple_star, canonical_count,
                             enumerate_colourings, exhaustive_theorem_check)
-from tristar.oracle import _split_prefixes
+from tristar.oracle import _component_order, _iter_rgs, _split_prefixes, _walk_masks
+from tristar.stars import _double_scan, _triple_scan
 from tristar.stars import (max_double_star, max_double_star_order, max_triple_star,
                            max_triple_star_order)
 
@@ -123,10 +126,11 @@ def late_cap_tie() -> EdgeColouring:
     return EdgeColouring(n, n, tuple(colours))
 
 
-def test_bounded_scans_agree_with_brute_where_the_bounds_fire():
-    # A colour degree of 6 or more switches on the upper bounds that let the
-    # scans skip colours, middles and first leaves; constant colourings and
-    # shuffled plane blow-ups are full of ties the bounds must not skip.
+def bound_firing_cases() -> list[EdgeColouring]:
+    """Colourings at n 12-40 where a colour degree of 6 or more switches on
+    the upper bounds that let the scans skip colours, middles and first
+    leaves; constant colourings and shuffled plane blow-ups are full of
+    ties the bounds must not skip."""
     rnd = random.Random(47)
     planes = [affine_colouring(2, mult) for mult in (4, 6, 8)]
     planes += [affine_colouring(3, mult) for mult in (3, 4)]
@@ -139,9 +143,87 @@ def test_bounded_scans_agree_with_brute_where_the_bounds_fire():
     cases += [relabelled(c, rnd) for c in planes]
     cases += [relabelled(c, rnd) for c in planes if c.n <= 28]
     cases.append(late_cap_tie())
-    for c in cases:
+    return cases
+
+
+def test_bounded_scans_agree_with_brute_where_the_bounds_fire():
+    for c in bound_firing_cases():
         assert max(v.bit_count() for row in c.view.masks for v in row) >= 6
         assert_fast_finders_match_brute(c)
+
+
+def scan_order_records(masks, n: int, m: int):
+    """The strict improvements of each order-only scan, visiting every candidate
+    in its scan order: triple paths by colour, middle x, then u < w; centre
+    edges by colour, then (x, y); components by colour, then as
+    component_masks lists them.  Each record is (order, witness key)."""
+    def improvements(candidates):
+        best, records = 0, []
+        for order, key in candidates:
+            if order > best:
+                best = order
+                records.append((order, key))
+        return records
+
+    def bits(mask):
+        return [v for v in range(n) if mask >> v & 1]
+
+    triple = (((row[u] | row[x] | row[w]).bit_count(), (c, u, x, w))
+              for c, row in enumerate(masks[1:m + 1], 1) for x in range(n)
+              for a, u in enumerate(bits(row[x])) for w in bits(row[x])[a + 1:])
+    double = (((row[x] | row[y]).bit_count(), (c, x, y))
+              for c, row in enumerate(masks[1:m + 1], 1) for x in range(n)
+              for y in bits(row[x]) if y > x)
+    component = ((comp.bit_count(), ()) for c in range(1, m + 1)
+                 for comp in component_masks(masks[c]))
+    return improvements(triple), improvements(double), improvements(component)
+
+
+def test_scans_stop_at_the_first_candidate_that_reaches_stop():
+    # Below stop a scan's value is exact; at or above it the scan returns the
+    # first candidate in its own order whose order reaches stop, which lies
+    # in [stop, maximum].  Every stop from 0 to n + 1 is tried; n + 1 is the
+    # full scan.
+    def canonical(labels):
+        hue = {}
+        return tuple(hue.setdefault(v, len(hue) + 1) for v in labels)
+
+    rnd = random.Random(71)
+    cases = [EdgeColouring(4, 6, tuple(a)) for a in _iter_rgs(6, 6)]
+    cases += [EdgeColouring(5, 4, tuple(a)) for a in islice(_iter_rgs(10, 4), 0, None, 97)]
+    cases += [EdgeColouring(6, 3, canonical(rnd.randint(1, 3) for _ in range(15)))
+              for _ in range(300)]
+    cases += bound_firing_cases()
+    for c in cases:
+        n, m, masks = c.n, c.m, c.view.masks
+        kernels = (lambda stop: _triple_scan(masks, n, m, stop),
+                   lambda stop: _double_scan(masks, n, m, stop),
+                   lambda stop: (_component_order(masks, n, m, stop),))
+        for kernel, records in zip(kernels, scan_order_records(masks, n, m)):
+            top = records[-1][0] if records else 0
+            for stop in range(n + 2):
+                value, *key = kernel(stop)
+                assert value == top if top < stop else stop <= value <= top
+                first = next((rec for rec in records if rec[0] >= stop), None)
+                assert first is None or (value, tuple(key)) == first
+
+
+def test_walk_masks_match_a_fresh_build_at_every_step():
+    # The live table moves only the changed suffix of each string; it must
+    # hold exactly the masks of the string yielded with it, from the empty
+    # prefix and from every prefix the threaded scan starts at.
+    prefixes = [()] + _split_prefixes(5, 4, 2)
+    assert len(prefixes) > 2
+    for prefix in prefixes:
+        walked = 0
+        for (a, masks), b in zip_longest(_walk_masks(5, 4, prefix), _iter_rgs(10, 4, prefix)):
+            assert a == b
+            assert masks == colour_masks(5, 4, a)
+            walked += 1
+        assert walked > 1
+    # a string shorter than the palette sizes the table to the colours it can use
+    for a, masks in _walk_masks(3, 1000, ()):
+        assert masks == colour_masks(3, 3, a)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -329,3 +411,22 @@ def test_exhaust_input_validation():
         exhaustive_theorem_check(4, 3, budget=0)
     with pytest.raises(ValueError, match="single-threaded"):
         exhaustive_theorem_check(4, 3, threads=2, budget=10)
+
+
+def test_exhaust_rejects_n_above_the_bound_before_allocating(monkeypatch):
+    # The scan would build all C(n,2) edges before the budget is checked; a
+    # huge n must be refused before anything is built or started.
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(oracle_module, "_scan_chunk", reached)
+    monkeypatch.setattr(oracle_module, "Pool", reached)
+    monkeypatch.setattr(oracle_module, "proven_floor", reached)
+    for n in (2001, 100000, 10 ** 18):
+        with pytest.raises(ValueError, match="too large"):
+            exhaustive_theorem_check(n, 3, budget=5)
+    with pytest.raises(Reached):
+        exhaustive_theorem_check(2000, 3, budget=5)
