@@ -310,12 +310,6 @@ class ColourClassView:
             self.masks = _palette(n, m, set(colouring.colours))
             _add_edges(self.masks, n, colouring.colours)
 
-    def neighbours(self, c: int, v: int) -> int:
-        return self.masks[c][v]
-
-    def colour_degree(self, c: int, v: int) -> int:
-        return self.masks[c][v].bit_count()
-
 
 @dataclass(frozen=True)
 class ValidationReport:

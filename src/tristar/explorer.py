@@ -89,8 +89,8 @@ def anneal(config: SearchConfig) -> SearchOutcome:
     ever dips below a proven floor.
 
     The double and triple objectives are kept in a StarHistogram, so a move
-    rescores only the stars it touches; the component objective is
-    recomputed after every move.
+    scores only the stars it changes, each once; the component objective
+    is recomputed after every move.
     """
     config.check()
     n, r = config.n, config.r
@@ -185,7 +185,13 @@ def _recolour(masks: list[list[int]], i: int, j: int, old: int, new: int) -> Non
 def _double_orders(row: list[int], x: int, ends: int) -> list[int]:
     """Orders of the double stars on the centre edges x - y, y in ends."""
     mx = row[x]
-    return [(mx | row[y]).bit_count() for y in iter_bits(ends)]
+    orders = []
+    add = orders.append
+    while ends:  # iter_bits inlined: this loop scores a double move
+        low = ends & -ends
+        add((mx | row[low.bit_length() - 1]).bit_count())
+        ends ^= low
+    return orders
 
 
 def _double_at(row: list[int], x: int) -> list[int]:
@@ -193,84 +199,115 @@ def _double_at(row: list[int], x: int) -> list[int]:
     return _double_orders(row, x, row[x] >> (x + 1) << (x + 1))
 
 
-def _triple_orders(row: list[int], x: int) -> list[int]:
-    """Orders of the triple stars on the paths u - x - w, u < w."""
+def _double_shifting(row: list[int], i: int, j: int) -> list[int]:
+    """Orders of the double stars i - y and j - y off the edge {i, j} that its move shifts.
+
+    A move toggles bit j of N(i).  A centre edge i - y with y in N(j) keeps
+    its order, since N(y) already holds j; every other i - y gains or
+    loses exactly that bit.  The same holds for j - y with i and j swapped.
+    """
+    ri, rj = row[i], row[j]
+    pair = 1 << i | 1 << j
+    return _double_orders(row, i, ri & ~rj & ~pair) + _double_orders(row, j, rj & ~ri & ~pair)
+
+
+def _double_edge(row: list[int], i: int, j: int) -> list[int]:
+    """The order of the double star on the centre edge i - j."""
+    return [(row[i] | row[j]).bit_count()]
+
+
+def _triple_orders(row: list[int], x: int, ends: int) -> list[int]:
+    """Orders of the triple stars on the paths u - x - w, u < w both in ends."""
     nb = row[x]
     seen = []
     orders = []
-    for w in iter_bits(nb):
+    for w in iter_bits(ends):
         mw = row[w]
         orders += [(mw | m).bit_count() for m in seen]
         seen.append(mw | nb)
     return orders
 
 
-def _triple_orders_from(row: list[int], u: int, middles: int) -> list[int]:
-    """Orders of the triple stars on the paths u - x - w, x in middles."""
+def _triple_at(row: list[int], x: int) -> list[int]:
+    """Orders of the triple stars on the paths with middle x."""
+    return _triple_orders(row, x, row[x])
+
+
+def _triple_orders_from(row: list[int], u: int, middles: int, ends: int) -> list[int]:
+    """Orders of the triple stars on the paths u - x - w, x in middles, w in ends."""
     mu = row[u]
-    away = ~(1 << u)
     orders = []
+    add = orders.append
     for x in iter_bits(middles):
         nb = row[x]
         ux = mu | nb
-        orders += [(ux | row[w]).bit_count() for w in iter_bits(nb & away)]
+        far = nb & ends
+        while far:  # iter_bits inlined: this loop scores most of a triple move
+            low = far & -far
+            add((ux | row[low.bit_length() - 1]).bit_count())
+            far ^= low
     return orders
 
 
-def _double_touched(masks: list[list[int]], i: int, j: int, colours: tuple[int, int]) -> list[int]:
-    """Orders of the double stars in the given colours that a move of {i, j} can change.
+def _triple_shifting(row: list[int], i: int, j: int) -> list[int]:
+    """Orders of the triple stars off the edge {i, j} that its move shifts.
 
-    A centre edge i - y with y in N(j) keeps its order: N(y) already holds
-    j, the one bit that N(i) gains or loses.  Likewise j - y with y in N(i).
-    """
-    orders = []
-    for c in colours:
-        row = masks[c]
-        orders += _double_orders(row, i, row[i] & ~row[j])
-        orders += _double_orders(row, j, row[j] & ~row[i] & ~(1 << i))
-    return orders
-
-
-def _triple_touched(masks: list[list[int]], i: int, j: int, colours: tuple[int, int]) -> list[int]:
-    """Orders of the triple stars in the given colours that a move of {i, j} can change.
-
-    These are the paths with middle i or j, and the paths i - x - w and
-    j - x - w whose middle x is a neighbour of only one of i and j.  When x
-    is a neighbour of both, N(x) already holds i and j, the only bits the
-    move toggles, so those paths keep their order.
+    A move toggles bit j of N(i).  A star through i whose other members
+    include one in N(j) keeps its order, since that member's neighbourhood
+    already holds j: i - x - j for x in N(i) and N(j), u - i - w with an
+    end in N(j), i - x - w with x or w in N(j).  Every other star through i
+    off the edge gains or loses exactly that bit: u - i - w with u, w
+    outside N(j) and j, and i - x - w with x, w outside N(j).  The same
+    holds with i and j swapped.
     """
     pair = 1 << i | 1 << j
-    orders = []
-    for c in colours:
-        row = masks[c]
-        orders += _triple_orders(row, i)
-        orders += _triple_orders(row, j)
-        orders += _triple_orders_from(row, i, row[i] & ~row[j] & ~pair)
-        orders += _triple_orders_from(row, j, row[j] & ~row[i] & ~pair)
-    return orders
+    off_j = ~(row[j] | pair)
+    off_i = ~(row[i] | pair)
+    ends_i = row[i] & off_j
+    ends_j = row[j] & off_i
+    return (_triple_orders(row, i, ends_i) + _triple_orders_from(row, i, ends_i, off_j)
+            + _triple_orders(row, j, ends_j) + _triple_orders_from(row, j, ends_j, off_i))
 
 
-# Per objective: the orders of the structures one centre owns, each
-# structure owned once; the orders of the structures a move can change.
+def _triple_edge(row: list[int], i: int, j: int) -> list[int]:
+    """Orders of the triple stars on the paths j - i - w and i - j - w.
+
+    Both have order |N(i) | N(j) | N(w)|; a vertex w in N(i) and N(j) is
+    the end of one of each.
+    """
+    ij = row[i] | row[j]
+    pair = 1 << i | 1 << j
+    return ([(ij | row[w]).bit_count() for w in iter_bits(row[i] & ~pair)]
+            + [(ij | row[w]).bit_count() for w in iter_bits(row[j] & ~pair)])
+
+
+# Per objective: the orders of the stars one centre owns, each star owned
+# once; the orders of the stars off a moved edge whose order the move
+# shifts by exactly one; the orders of the stars on the moved edge itself.
 _CENTRE_ORDERS = {
-    "double": (_double_at, _double_touched),
-    "triple": (_triple_orders, _triple_touched),
+    "double": (_double_at, _double_shifting, _double_edge),
+    "triple": (_triple_at, _triple_shifting, _triple_edge),
 }
 
 
 class StarHistogram:
     """count[order] over every double or triple star of a colouring's masks.
 
-    Recolouring edge {i, j} from old to new changes only the masks old[i],
-    old[j], new[i] and new[j], so move() rescores the stars of those two
-    colours that can change, before and after the flip, and applies the
-    difference.  The objective is the highest nonzero bin.  One permanent
-    entry at SINGLE_EDGE stands for the single-edge value, so the top never
-    falls below it.
+    Recolouring edge {i, j} from old to new toggles only bit j of N(i) and
+    bit i of N(j), in those two colours.  The stars on the edge itself
+    (j - i - w and i - j - w, or the centre edge i - j) disappear from old
+    and appear in new.  Of the other stars with i or j as a member, one
+    that holds the toggled bit through another member keeps its order, and
+    every other one shifts by exactly 1: down in old, up in new.  So move()
+    scores each changed star once: the shifting stars of both colours and
+    old's edge stars before the flip, new's edge stars after it; undo()
+    replays the same delta in reverse.  The objective is the highest
+    nonzero bin.  One permanent entry at SINGLE_EDGE stands for the
+    single-edge value, so the top never falls below it.
     """
 
     def __init__(self, kind: str, masks: list[list[int]], n: int, m: int):
-        at, self._touched = _CENTRE_ORDERS[kind]
+        at, self._shifting, self._edge = _CENTRE_ORDERS[kind]
         count = [0] * (n + 1)
         count[SINGLE_EDGE] = 1
         for c in range(1, m + 1):
@@ -288,18 +325,27 @@ class StarHistogram:
 
     def move(self, i: int, j: int, old: int, new: int) -> int:
         """Recolour edge {i, j} from old to new; return the new top."""
-        masks, count, colours = self.masks, self.count, (old, new)
-        gone = self._touched(masks, i, j, colours)
+        masks, count = self.masks, self.count
+        shifting, edge = self._shifting, self._edge
+        row = masks[old]
+        down = shifting(row, i, j)
+        gone = edge(row, i, j)
+        row = masks[new]
+        up = shifting(row, i, j)
         _recolour(masks, i, j, old, new)
-        come = self._touched(masks, i, j, colours)
+        come = edge(row, i, j)
+        for order in down:
+            count[order] -= 1
+            count[order - 1] += 1
+        for order in up:
+            count[order] -= 1
+            count[order + 1] += 1
         for order in gone:
             count[order] -= 1
         for order in come:
             count[order] += 1
-        self._undo = (i, j, old, new, gone, come, self.top)
-        top = max(come, default=0)
-        if top < self.top:
-            top = self.top
+        self._undo = (i, j, old, new, down, gone, up, come, self.top)
+        top = max(self.top, max(come, default=0), max(up, default=-1) + 1)
         while not count[top]:
             top -= 1
         self.top = top
@@ -307,10 +353,16 @@ class StarHistogram:
 
     def undo(self) -> None:
         """Take back the last move: its mask flip and its histogram delta."""
-        i, j, old, new, gone, come, self.top = self._undo
+        i, j, old, new, down, gone, up, come, self.top = self._undo
         _recolour(self.masks, i, j, new, old)
         count = self.count
         for order in come:
             count[order] -= 1
         for order in gone:
+            count[order] += 1
+        for order in up:
+            count[order + 1] -= 1
+            count[order] += 1
+        for order in down:
+            count[order - 1] -= 1
             count[order] += 1
