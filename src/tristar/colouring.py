@@ -29,7 +29,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 from .errors import ColouringFormatError
 
@@ -57,6 +57,30 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+class _lazy:
+    """A value computed on its first read and stored in the instance's __dict__.
+
+    functools.cached_property without its lock, which on Python 3.11 and
+    earlier doubles the cost of every first read.  The stored value shadows
+    this non-data descriptor, so later reads are plain attribute reads and
+    `name in obj.__dict__` tells whether it has been computed.  Two threads
+    racing on a first read may both compute it; the values are equal.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class EdgeColouring:
     """A colour for every edge of K_n, with colour labels 1..m.
@@ -73,16 +97,16 @@ class EdgeColouring:
     def colour_of(self, i: int, j: int) -> int:
         return self.colours[edge_index(self.n, i, j)]
 
-    @cached_property
+    @_lazy
     def view(self) -> "ColourClassView":
         return ColourClassView(self)
 
-    @cached_property
+    @_lazy
     def validation(self) -> "ValidationReport":
         """What `validate` returns; checked once, since the record never changes."""
         return _find_violations(self)
 
-    @cached_property
+    @_lazy
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Component bit masks of each colour class, index c (index 0 empty).
 
@@ -91,7 +115,7 @@ class EdgeColouring:
         masks = self.view.masks
         return ((),) + tuple(tuple(component_masks(masks[c])) for c in range(1, self.m + 1))
 
-    @cached_property
+    @_lazy
     def labels(self) -> "LabelMatrix":
         """The label matrix: locality, and mask rows at C speed on large colourings."""
         return LabelMatrix(self)
@@ -119,15 +143,11 @@ def _flat_labels(m: int, colours):
     return list(colours) if code is None else array(code, colours)
 
 
-_ITEM_BITS = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
-
-
-def _item_type(bits: int) -> str | None:
-    """Typecode of the narrowest native unsigned array item of at least `bits` bits; None above 64."""
-    for code, item_bits in _ITEM_BITS:
-        if bits <= item_bits:
-            return code
-    return None
+# _ITEM_TYPE[bits]: typecode of the narrowest native unsigned array item of
+# at least `bits` bits; `_item_type` gives None above 64
+_ITEM_TYPE = {bits: next(code for code in "BHIQ" if bits <= 8 * array(code).itemsize)
+              for bits in range(65)}
+_item_type = _ITEM_TYPE.get
 
 
 # Below this many vertices masks come from the per-edge loop alone: the
@@ -184,7 +204,7 @@ class LabelMatrix:
         lo = (self.n - 1 - i) * self.n
         return [plane[lo:lo + self.n] for plane in self.planes]
 
-    @cached_property
+    @_lazy
     def row_labels(self) -> list[tuple[int, ...]]:
         """The distinct labels of each row, the diagonal's 0 left out.
 
@@ -329,47 +349,48 @@ def validate(colouring: EdgeColouring) -> ValidationReport:
 
 
 def _find_violations(colouring: EdgeColouring) -> ValidationReport:
+    n, m, colours = colouring.n, colouring.m, colouring.colours
+    want = edge_count(n) if n >= 2 else 0
+    have = len(colours)
+    if n >= 2 and m >= 1 and have == want and _labels_in_range(m, colours):
+        return _VALID
     problems = []
-    n, m = colouring.n, colouring.m
     if n < 2:
         problems.append("n >= 2 required")
     if m < 1:
         problems.append("m >= 1 required")
-    want = edge_count(n) if n >= 2 else 0
-    have = len(colouring.colours)
     if have != want:
         problems.append(f"missing or surplus edge colours: expected {want}, found {have}")
     count = min(have, want)
-    if not _labels_in_range(colouring, count):
+    if not _labels_in_range(m, colours[:count]):
         # word each violation; only reached when some label is out of range
-        for k, c in enumerate(colouring.colours[:count]):
+        for k, c in enumerate(colours[:count]):
             if not isinstance(c, int) or not 1 <= c <= m:
                 problems.append(f"label out of range at edge position {k}: {c!r}")
     return ValidationReport(tuple(problems))
 
 
-def _labels_in_range(colouring: EdgeColouring, count: int) -> bool:
-    """Whether the first `count` labels are all ints in 1..m, checked in C.
+def _labels_in_range(m: int, labels) -> bool:
+    """Whether the labels are all ints in 1..m, checked in C.
 
     False when it cannot tell: a label of another type (the array
     conversion would take anything with __index__), one that does not fit
     the array type of m, or m above 64 bits.
     """
-    m = colouring.m
-    head = colouring.colours[:count]
-    if m < 1 or not set(map(type, head)) <= _INT_TYPES:
+    if m < 1 or not set(map(type, labels)) <= _INT_TYPES:
         return False
     try:
-        flat = _flat_labels(m, head)
+        flat = _flat_labels(m, labels)
     except (TypeError, ValueError, OverflowError):
-        return False
-    if isinstance(flat, list):
         return False
     if isinstance(flat, bytes):
         return not flat.translate(None, _BYTES[1:m + 1])
+    if isinstance(flat, list):
+        return False
     return not flat or 1 <= min(flat) and max(flat) <= m
 
 
+_VALID = ValidationReport(())
 _INT_TYPES = {int, bool}
 _BYTES = bytes(range(256))
 
@@ -597,6 +618,9 @@ def no_affine_component_bound(n: int, r: int) -> Q:
     return Q(n) / (Q(r - 1) - Q(1, r - 1))
 
 
+# The triple-star floors are asked for once per proof, with few distinct
+# (n, r); each Fraction is built once and shared, as Fractions never change.
+@lru_cache(maxsize=256)
 def triple_star_bound(n: int, r: int) -> Q:
     """Guaranteed triple-star order n/(r-1) in any r-colouring, r >= 3.
 
@@ -608,6 +632,7 @@ def triple_star_bound(n: int, r: int) -> Q:
     return Q(n, r - 1)
 
 
+@lru_cache(maxsize=256)
 def triple_star_bound_local(n: int, r: int) -> Q:
     """Triple-star floor rn/(r^2-r+1) under a local r-colouring, r >= 3."""
     _check_nr(n, r)

@@ -21,6 +21,8 @@ from .stars import SINGLE_EDGE, max_double_star_order, max_triple_star_order
 
 Q = Fraction
 
+_MAX_R = 2000  # like n: the colour masks hold r + 1 rows of n bits
+
 
 def objective(colouring: EdgeColouring, kind: str) -> int:
     """The order being minimized: double or triple star, or largest component.
@@ -50,6 +52,9 @@ class SearchConfig:
                              f"{self.n * (self.n - 1) // 2} edges, at most n = {_MAX_N}")
         if self.r < 2:
             raise ValueError("r >= 2 required: with one colour there is no move to make")
+        if self.r > _MAX_R:
+            raise ValueError(f"r = {self.r} too large: the search keeps a mask row per colour, "
+                             f"at most r = {_MAX_R}")
         if self.objective not in ("double", "triple", "component"):
             raise ValueError(f"unknown objective kind: {self.objective!r}")
         if self.iterations < 1:

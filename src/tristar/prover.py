@@ -17,9 +17,9 @@ re-checks every claim from the colouring alone and never trusts the trace.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .colouring import (EdgeColouring, iter_bits, locality, subgraph_diameter,
                         triple_star_bound, triple_star_bound_local, validate)
@@ -89,16 +89,15 @@ def _require_valid(colouring: EdgeColouring) -> None:
 def _run(colouring: EdgeColouring, mode: str, r: int, bound: Q) -> TripleStarCertificate:
     ds = max_double_star(colouring)
     c = ds.colour
-    x, y = ds.centres
+    x, y = trace_centres = ds.centres
     masks = colouring.view.masks[c]
     union = masks[x] | masks[y]
-    target = math.ceil(bound)
-    trace_centres = (x, y)
+    target = -(-bound.numerator // bound.denominator)  # ceil(bound)
 
     if ds.order >= target:
         if ds.order == 2:
             # bare centre edge; only reachable when the ceiling is <= 2
-            cert = TripleStarCertificate(mode, colouring.n, r, bound, c, (x, y),
+            cert = TripleStarCertificate(mode, colouring.n, r, bound, c, trace_centres,
                                          ds.vertices, 2, True,
                                          ProofTrace(trace_centres, 2, None, 0))
             return _guard(cert, colouring, target)
@@ -186,102 +185,116 @@ def verify_certificate(colouring: EdgeColouring, cert: TripleStarCertificate) ->
     if invalid:
         return VerificationReport(tuple(f"invalid colouring: {v}" for v in invalid))
     failures: list[str] = []
-    if cert.mode not in ("global", "local"):
-        failures.append(f"unknown mode: {cert.mode!r}")
+    mode, n, r, colour = cert.mode, cert.n, cert.r, cert.colour
+    if mode not in ("global", "local"):
+        failures.append(f"unknown mode: {mode!r}")
         return VerificationReport(tuple(failures))
-    if cert.n != colouring.n:
-        failures.append(f"vertex count mismatch: certificate says n={cert.n}, colouring has n={colouring.n}")
-    if cert.r < 3:
-        failures.append(f"r below 3: the theorems need r >= 3, certificate says r={cert.r}")
-    if cert.mode == "global":
-        if cert.r != colouring.m:
-            failures.append(f"colour count mismatch: certificate says r={cert.r}, "
+    if n != colouring.n:
+        failures.append(f"vertex count mismatch: certificate says n={n}, colouring has n={colouring.n}")
+    if r < 3:
+        failures.append(f"r below 3: the theorems need r >= 3, certificate says r={r}")
+    if mode == "global":
+        if r != colouring.m:
+            failures.append(f"colour count mismatch: certificate says r={r}, "
                             f"colouring declares m={colouring.m}")
-        expected = Q(cert.n, cert.r - 1) if cert.r >= 2 else None
     else:
         report = locality(colouring)
-        if report.locality > cert.r:
+        if report.locality > r:
             failures.append(f"locality violated: vertex {report.worst_vertex()} meets "
-                            f"{report.locality} colours, above r={cert.r}")
-        expected = Q(cert.r * cert.n, cert.r * cert.r - cert.r + 1)
-    if expected is not None and cert.bound != expected:
-        failures.append(f"bound formula mismatch: expected {expected}, certificate carries {cert.bound}")
-    if failures and cert.n != colouring.n:
+                            f"{report.locality} colours, above r={r}")
+    bound = cert.bound
+    num, den = bound.numerator, bound.denominator  # den >= 1
+    expected = _expected_bound(mode, n, r)
+    if expected is not None and (num != expected.numerator or den != expected.denominator):
+        failures.append(f"bound formula mismatch: expected {expected}, certificate carries {bound}")
+    if failures and n != colouring.n:
         return VerificationReport(tuple(failures))
 
-    if not 1 <= cert.colour <= colouring.m:
-        failures.append(f"colour out of range: {cert.colour} not in 1..{colouring.m}")
+    if not 1 <= colour <= colouring.m:
+        failures.append(f"colour out of range: {colour} not in 1..{colouring.m}")
         return VerificationReport(tuple(failures))
-    n = colouring.n
-    want = 2 if cert.degenerate else 3
-    centres_ok = (len(cert.centres) == want
-                  and len(set(cert.centres)) == want
-                  and all(0 <= v < n for v in cert.centres))
-    if not centres_ok:
-        failures.append(f"centres invalid: expected {want} distinct vertices in range, got {cert.centres}")
+    centres, degenerate = cert.centres, cert.degenerate
+    want = 2 if degenerate else 3
+    if not (len(centres) == want and len(set(centres)) == want
+            and min(centres) >= 0 and max(centres) < n):
+        failures.append(f"centres invalid: expected {want} distinct vertices in range, got {centres}")
         return VerificationReport(tuple(failures))
-    if cert.degenerate:
-        edges = [(cert.centres[0], cert.centres[1])]
+    masks = colouring.colour_rows(colour)  # the only colour read below
+    if degenerate:
+        edges = [(centres[0], centres[1])]
     else:
-        edges = [(cert.centres[1], cert.centres[0]), (cert.centres[1], cert.centres[2])]
+        edges = [(centres[1], centres[0]), (centres[1], centres[2])]
     for p, qv in edges:
-        if colouring.colour_of(p, qv) != cert.colour:
-            failures.append(f"edge colour mismatch: {{{p},{qv}}} does not carry colour {cert.colour}")
+        if not masks[p] >> qv & 1:
+            failures.append(f"edge colour mismatch: {{{p},{qv}}} does not carry colour {colour}")
 
     verts = cert.vertices
     if not verts or list(verts) != sorted(set(verts)) or verts[0] < 0 or verts[-1] >= n:
         failures.append("vertex list invalid: must be nonempty, strictly increasing, in range")
         return VerificationReport(tuple(failures))
-    masks = colouring.colour_rows(cert.colour)  # the only colour read below
-    for v in cert.centres:
+    for v in centres:
         if v not in verts:
             failures.append(f"centre {v} missing from vertex set")
-    if cert.order != len(verts):
-        failures.append(f"order mismatch: field says {cert.order}, vertex list has {len(verts)}")
+    order = cert.order
+    if order != len(verts):
+        failures.append(f"order mismatch: field says {order}, vertex list has {len(verts)}")
 
-    if cert.degenerate:
-        if tuple(sorted(cert.centres)) != verts:
+    claimed = 0
+    for v in verts:
+        claimed |= 1 << v
+    if degenerate:
+        if tuple(sorted(centres)) != verts:
             failures.append("degenerate witness must consist of exactly its centre edge")
     else:
-        union = 0
-        for v in cert.centres:
-            union |= masks[v]
-        claimed = 0
-        for v in verts:
-            claimed |= 1 << v
-        for v in iter_bits(claimed & ~union):
-            failures.append(f"vertex {v} not attached to any centre in colour {cert.colour}")
-        for v in iter_bits(union & ~claimed):
-            failures.append(f"star vertex {v} missing from witness")
-    if cert.order < cert.bound:
-        failures.append(f"order below bound: {cert.order} < {cert.bound}")
+        union = masks[centres[0]] | masks[centres[1]] | masks[centres[2]]
+        if claimed != union:
+            for v in iter_bits(claimed & ~union):
+                failures.append(f"vertex {v} not attached to any centre in colour {colour}")
+            for v in iter_bits(union & ~claimed):
+                failures.append(f"star vertex {v} missing from witness")
+    if order * den < num:  # order < bound
+        failures.append(f"order below bound: {order} < {bound}")
 
-    root = cert.centres[0] if cert.degenerate else cert.centres[1]
-    if not _within_two(masks, root, verts):
-        dia = subgraph_diameter(colouring, cert.colour, verts)
+    if not _within_two(masks, centres[0] if degenerate else centres[1], claimed):
+        dia = subgraph_diameter(colouring, colour, verts)
         if dia is None:
             failures.append("witness disconnected in its colour")
         elif dia > 4:
             failures.append(f"diameter exceeds 4: found {dia}")
-    return VerificationReport(tuple(failures))
+    return VerificationReport(tuple(failures)) if failures else _ACCEPTED
 
 
-def _within_two(masks: list[int], root: int, verts) -> bool:
-    """Whether every vertex of `verts` lies within distance 2 of `root` inside `verts`.
+_ACCEPTED = VerificationReport(())
+
+
+@lru_cache(maxsize=256)
+def _expected_bound(mode: str, n: int, r: int) -> Q | None:
+    """The bound a certificate of this mode must carry, from the paper's formulas.
+
+    None for a global r below 2, where n/(r-1) has no value; built once per
+    (mode, n, r), as the exhaustive checks verify thousands of certificates
+    with the same n and r.
+    """
+    if mode == "global":
+        return Q(n, r - 1) if r >= 2 else None
+    return Q(r * n, r * r - r + 1)
+
+
+def _within_two(masks: list[int], root: int, inside: int) -> bool:
+    """Whether every vertex of the bit mask `inside` lies within distance 2 of `root` inside it.
 
     If so, the subgraph is connected with diameter at most 4 (triangle
     inequality through `root`), which settles the diameter check with one
     BFS; otherwise the caller measures the diameter itself.
     """
-    inside = 0
-    for v in verts:
-        inside |= 1 << v
     if not (inside >> root) & 1:
         return False
     near = masks[root] & inside
     ball = near | (1 << root)
-    for v in iter_bits(near):
-        ball |= masks[v]
+    while near:
+        low = near & -near
+        ball |= masks[low.bit_length() - 1]
+        near ^= low
     return ball & inside == inside
 
 
@@ -319,8 +332,10 @@ def certificate_from_json(text: str) -> TripleStarCertificate:
     """Strict structural parse; content checks stay with verify_certificate."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CertificateFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise CertificateFormatError("certificate must be a JSON object")
     if set(obj) != _TOP_KEYS:

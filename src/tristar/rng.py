@@ -27,10 +27,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection, so no modulo bias."""
+        """Uniform integer in [0, bound) by rejection, so no modulo bias.
+
+        At most 2**64, the range of one draw: above it no draw could be accepted.
+        """
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         limit = _MASK - (_MASK + 1) % bound
+        if limit < 0:  # bound above 2**64
+            raise ValueError(f"bound must be at most 2**64, got {bound}")
         while True:
             z = self.next64()
             if z <= limit:

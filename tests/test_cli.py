@@ -18,6 +18,7 @@ from tristar.cli import main
 from tristar.colouring import EdgeColouring, edge_index, format_colouring, parse_colouring
 from tristar.explorer import objective
 from tristar.generators import affine_colouring, projective_local_colouring, random_colouring
+from tristar.prover import certificate_to_json, prove_global
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -437,3 +438,58 @@ def test_exhaust_threads_above_the_cpu_count_exit_2(capsys, monkeypatch):
                                   "--mode", "triple", "--threads", "3"])
     assert code == 2 and out == ""
     assert "threads must be <= 2" in err
+
+
+def test_search_with_a_huge_palette_exits_2_at_once(capsys):
+    # each draw over more than 2**64 colours used to be rejected forever
+    code, out, err = run(capsys, ["search", "--n", "4", "--r", str(10**20), "--objective",
+                                  "triple", "--iters", "10", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "too large" in err
+
+
+# --- malformed input ends in an exit code, never a traceback ----------------
+
+def _verify_cert_text(text: str):
+    def argv(tmp_path: Path) -> list[str]:
+        colouring = tmp_path / "c.txt"
+        colouring.write_text(format_colouring(affine_colouring(2, 2)))
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        return ["verify", "--cert", str(cert), str(colouring)]
+    return argv
+
+
+def _analyze_text(text: str):
+    def argv(tmp_path: Path) -> list[str]:
+        colouring = tmp_path / "c.txt"
+        colouring.write_text(text)
+        return ["analyze", str(colouring)]
+    return argv
+
+
+GOOD_CERT = certificate_to_json(prove_global(affine_colouring(2, 2), 3))
+MALFORMED_INPUTS = [
+    _verify_cert_text("[" * 100000),
+    _verify_cert_text(GOOD_CERT.replace('"n":8', '"n":' + "9" * 5000)),
+    lambda tmp_path: ["search", "--n", "4", "--r", str(10**20), "--objective", "triple",
+                      "--iters", "10", "--seed", "1"],
+    lambda tmp_path: ["gen", "random", "--n", "4", "--r", str(10**20), "--seed", "1"],
+    _analyze_text("4\n1 2 3 1 2 3\n"),
+    _analyze_text("4 x\n1 2 3 1 2 3\n"),
+]
+
+
+@pytest.mark.parametrize("make_argv", MALFORMED_INPUTS,
+                         ids=["nested-certificate", "5000-digit-certificate-integer",
+                              "huge-search-r", "huge-gen-random-r", "one-value-header",
+                              "non-integer-header"])
+def test_malformed_input_exits_without_a_traceback(tmp_path, make_argv):
+    src = str(Path(tristar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "tristar", *make_argv(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode in (1, 2)
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")

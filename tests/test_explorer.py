@@ -209,3 +209,10 @@ def test_star_histogram_matches_a_full_recompute(kind):
                 check()
     if kind == "triple":
         assert clamped  # some states had no two-edge path at all
+
+
+def test_config_caps_the_palette():
+    SearchConfig(4, 2000).check()
+    for r in (2001, 10**20):
+        with pytest.raises(ValueError, match="too large.*at most r = 2000"):
+            SearchConfig(4, r).check()

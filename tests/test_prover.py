@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -13,6 +14,7 @@ from tristar.colouring import EdgeColouring, edge_count, edge_index, validate
 from tristar.errors import CertificateFormatError, TheoremViolation
 from tristar.generators import (affine_colouring, constant_colouring,
                                 projective_local_colouring, random_colouring)
+from tristar.oracle import EnumerationSpec, enumerate_colourings
 from tristar.prover import (ProofTrace, TripleStarCertificate,
                             certificate_from_json, certificate_to_json,
                             prove_global, prove_local, verify_certificate)
@@ -324,6 +326,70 @@ def test_an_invalid_colouring_keeps_its_violations():
             tuple(f"invalid colouring: {v}" for v in expected)
 
 
+# A 3-colouring of K5: colour 1 is the isolated edge {0,1} plus the triangle
+# {2,3,4}, and every vertex meets all three colours.  Its colour-1 stars
+# sit exactly at the ceiling 3 of both bounds (5/2 global, 15/7 local) and
+# one below it, so the verifier's bound checks are pinned at their edges.
+K5_EDGE = EdgeColouring(5, 3, (1, 2, 3, 3, 2, 2, 3, 1, 1, 1))
+BOUNDS = {"global": Q(5, 2), "local": Q(15, 7)}
+
+
+def edge_cert(mode: str, order: int, bound: Q | None = None) -> TripleStarCertificate:
+    """The triangle's star 3-2-4 (order 3) or the bare edge {0,1} (order 2)."""
+    bound = BOUNDS[mode] if bound is None else bound
+    if order == 3:
+        return TripleStarCertificate(mode, 5, 3, bound, 1, (3, 2, 4), (2, 3, 4), 3, False,
+                                     ProofTrace((2, 3), 3, None, 0))
+    return TripleStarCertificate(mode, 5, 3, bound, 1, (0, 1), (0, 1), 2, True,
+                                 ProofTrace((0, 1), 2, None, 0))
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_verify_pins_the_failure_text_at_the_bound_edges(mode):
+    bound = BOUNDS[mode]
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 3)).failures == ()
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 2)).failures == \
+        (f"order below bound: 2 < {bound}",)
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 3, Q(2))).failures == \
+        (f"bound formula mismatch: expected {bound}, certificate carries 2",)
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 3, Q(7, 2))).failures == \
+        (f"bound formula mismatch: expected {bound}, certificate carries 7/2",
+         "order below bound: 3 < 7/2")
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 3, Q(3))).failures == \
+        (f"bound formula mismatch: expected {bound}, certificate carries 3",)
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 3, Q(-1, 2))).failures == \
+        (f"bound formula mismatch: expected {bound}, certificate carries -1/2",)
+    same_top = Q(bound.numerator, bound.denominator + 1)  # 5/3 or 15/8
+    assert verify_certificate(K5_EDGE, edge_cert(mode, 3, same_top)).failures == \
+        (f"bound formula mismatch: expected {bound}, certificate carries {same_top}",)
+
+
+def test_verify_pins_the_failure_text_of_the_expected_bound_guard():
+    # r = 1 has no global formula (n/(r-1) divides by zero): no bound failure, no crash
+    cert = dataclasses.replace(edge_cert("global", 3), r=1)
+    assert verify_certificate(K5_EDGE, cert).failures == (
+        "r below 3: the theorems need r >= 3, certificate says r=1",
+        "colour count mismatch: certificate says r=1, colouring declares m=3")
+
+
+# sha256 of the concatenated `certificate_to_json` of every canonical
+# 3-colouring of K5, in enumeration order, recorded before the prover's and
+# the verifier's per-call overheads were cut: certificates stay byte-identical
+K5_R3_CERTIFICATES_SHA256 = "78060ee2bb0de5ebcc59a6f2dece138c28b8fe829a9d4b8b854f06b7124dc7a9"
+
+
+def test_every_k5_r3_certificate_is_pinned_and_verifies():
+    digest = hashlib.sha256()
+    count = 0
+    for colouring in enumerate_colourings(EnumerationSpec(5, 3)):
+        cert = prove_global(colouring, 3)
+        assert verify_certificate(colouring, cert).ok, colouring.colours
+        digest.update(certificate_to_json(cert).encode())
+        count += 1
+    assert count == 9842
+    assert digest.hexdigest() == K5_R3_CERTIFICATES_SHA256
+
+
 # (seed of random_colouring(12, 4, seed), vertices dropped, vertices added,
 # the full failure tuple): each forgery of the vertex list either passes the
 # one-BFS radius check or falls back to the full diameter with its message
@@ -392,3 +458,11 @@ def test_certificate_parse_rejects_malformed_input():
         assert text != good, needle  # the mutation must actually apply
         with pytest.raises(CertificateFormatError, match=needle):
             certificate_from_json(text)
+
+
+def test_certificate_parse_maps_deep_nesting_and_huge_integers_to_format_errors():
+    with pytest.raises(CertificateFormatError, match="nested too deeply"):
+        certificate_from_json("[" * 100000)
+    good = certificate_to_json(prove_global(affine_colouring(2, 2), 3))
+    with pytest.raises(CertificateFormatError, match="not valid JSON"):
+        certificate_from_json(good.replace('"n":8', '"n":' + "9" * 5000))

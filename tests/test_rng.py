@@ -87,3 +87,20 @@ def test_sample_rejects_bad_k():
         SplitMix64(1).sample(3, 4)
     with pytest.raises(ValueError, match="cannot draw"):
         SplitMix64(1).sample(3, -1)
+
+
+def test_below_rejects_bounds_above_two_to_the_64_without_drawing():
+    # the rejection limit would be negative there, so no draw could ever be kept
+    g = SplitMix64(1)
+    for bound in (2**64 + 1, 10**20):
+        with pytest.raises(ValueError, match=r"bound must be at most 2\*\*64"):
+            g.below(bound)
+    assert g.next64() == SplitMix64(1).next64()
+
+
+def test_below_draws_at_large_bounds_are_pinned():
+    # recorded before bounds above 2**64 were rejected
+    g = SplitMix64(11)
+    assert [g.below(b) for b in (2**64, 2**63 + 1, 3, 10**18, 2**64 - 1)] == \
+        [5833679380957638813, 4839782808629744545, 0, 308485889748266480, 3047264704176347588]
+    assert SplitMix64(9).below(2**64) == SplitMix64(9).next64()
