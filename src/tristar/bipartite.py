@@ -95,11 +95,7 @@ class BipartiteColouredGraph:
 
 def lemma1_bound(size_a: int, size_b: int, edges: int) -> Q:
     """(1/|A| + 1/|B|) |E|, the plain double-star floor."""
-    if size_a < 1 or size_b < 1:
-        raise ValueError("side sizes must be >= 1")
-    if edges < 0:
-        raise ValueError("edge count must be >= 0")
-    return (Q(1, size_a) + Q(1, size_b)) * edges
+    return lemma2_bound(size_a, size_b, 1, 1, edges)
 
 
 def lemma2_bound(size_a: int, size_b: int, r: int, t: int, edges: int) -> Q:

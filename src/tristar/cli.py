@@ -278,8 +278,7 @@ def _cmd_exhaust(args: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted after {exc.processed} colourings; report is partial",
               file=sys.stderr)
-        if exc.partial is not None:
-            sys.stdout.write(_format_exhaust(exc.partial))
+        sys.stdout.write(_format_exhaust(exc.partial))
         return 1
     sys.stdout.write(_format_exhaust(report))
     return 0 if report.ok else 1

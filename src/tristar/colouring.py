@@ -510,6 +510,10 @@ def subgraph_diameter(colouring: EdgeColouring, c: int, vertices) -> int | None:
 
 _TOKEN = re.compile(r"\S+")
 
+# A view keeps a row pointer per declared colour; the cap stays above C(2000, 2),
+# the most colours a colouring at the generators' n cap can use.
+_MAX_M = 2_000_000
+
 
 class _Labels(dict):
     """Memo of int(token) per distinct token string; grows only with the input."""
@@ -525,7 +529,8 @@ def parse_colouring(text: str) -> EdgeColouring:
     Lines starting with '#' (and blank lines) are ignored.  The first data
     line must be "n m"; the following tokens are the C(n,2) edge colours in
     row-major upper-triangular order, split across lines however convenient.
-    Raises ColouringFormatError with 1-based line/column positions.
+    A header m above _MAX_M is refused before anything is built.  Raises
+    ColouringFormatError with 1-based line/column positions.
     """
     header = None
     values: list[int] = []
@@ -550,6 +555,9 @@ def parse_colouring(text: str) -> EdgeColouring:
                 if value < 0:
                     raise ColouringFormatError("header values must be nonnegative", lineno, tok.start() + 1)
                 pair.append(value)
+            if pair[1] > _MAX_M:
+                raise ColouringFormatError(f"header m = {pair[1]} too large: at most {_MAX_M} colours",
+                                           lineno, tokens[1].start() + 1)
             header = (pair[0], pair[1])
             need = edge_count(header[0])
             continue

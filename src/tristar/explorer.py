@@ -15,9 +15,11 @@ from fractions import Fraction
 from .colouring import EdgeColouring, colour_masks, iter_bits, proven_floor
 from .errors import TheoremViolation
 from .generators import _MAX_N
-from .oracle import _component_order
+from .oracle import _value_fn
 from .rng import SplitMix64
-from .stars import SINGLE_EDGE, max_double_star_order, max_triple_star_order
+# The three-argument max_*_order kernels are not called here; they stay
+# importable from this module because the benchmark's trace swaps them.
+from .stars import SINGLE_EDGE, _component_order, max_double_star_order, max_triple_star_order
 
 Q = Fraction
 
@@ -55,8 +57,7 @@ class SearchConfig:
         if self.r > _MAX_R:
             raise ValueError(f"r = {self.r} too large: the search keeps a mask row per colour, "
                              f"at most r = {_MAX_R}")
-        if self.objective not in ("double", "triple", "component"):
-            raise ValueError(f"unknown objective kind: {self.objective!r}")
+        _mask_objective(self.objective)  # an unknown kind raises
         if self.iterations < 1:
             raise ValueError("iterations >= 1 required")
         if self.restarts < 1:
@@ -166,17 +167,12 @@ def anneal(config: SearchConfig) -> SearchOutcome:
 
 
 def _mask_objective(kind: str):
-    """The order-only kernel of an objective kind, straight from colour masks."""
-    if kind == "double":
-        return max_double_star_order
-    if kind == "component":
-        return lambda masks, n, m: _component_order(masks, n, m, n + 1)
-    if kind == "triple":
-        def triple(masks, n, m):
-            value = max_triple_star_order(masks, n, m)
-            return value if value >= SINGLE_EDGE else SINGLE_EDGE
-        return triple
-    raise ValueError(f"unknown objective kind: {kind!r}")
+    """The exact order-only value of an objective kind, straight from colour masks."""
+    try:
+        value_of = _value_fn(kind)
+    except ValueError:
+        raise ValueError(f"unknown objective kind: {kind!r}") from None
+    return lambda masks, n, m: value_of(masks, n, m, n + 1)
 
 
 def _recolour(masks: list[list[int]], i: int, j: int, old: int, new: int) -> None:

@@ -24,19 +24,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from itertools import islice, product
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
-from .colouring import EdgeColouring, colour_masks, component_masks, proven_floor
+from .colouring import EdgeColouring, colour_masks, proven_floor
 from .errors import BudgetExceededError, TheoremViolation
 from .generators import _MAX_N
 from .prover import prove_global, verify_certificate
 # The three-argument max_*_order kernels are not called here; they stay
 # importable from this module because the benchmark's trace swaps them.
-from .stars import (SINGLE_EDGE, DoubleStarWitness, TripleStarWitness, _double_scan,
-                    _triple_scan, max_double_star_order, max_triple_star_order)
+from .stars import (SINGLE_EDGE, DoubleStarWitness, TripleStarWitness, _component_order,
+                    _double_scan, _triple_scan, max_double_star_order, max_triple_star_order)
 
 Q = Fraction
 
@@ -100,7 +102,6 @@ class EnumerationSpec:
     r: int
     canonical: bool = True
     budget: int | None = None
-    threads: int = 1
 
 
 def canonical_count(n: int, r: int) -> int:
@@ -204,29 +205,22 @@ def enumerate_colourings(spec: EnumerationSpec) -> Iterator[EdgeColouring]:
     if spec.n < 2 or spec.r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     length = spec.n * (spec.n - 1) // 2
-    if spec.canonical:
-        stream: Iterator = _iter_rgs(length, spec.r)
-    else:
-        stream = _product_colours(length, spec.r)
-    produced = 0
-    for values in stream:
-        if spec.budget is not None and produced >= spec.budget:
-            raise BudgetExceededError(produced)
-        produced += 1
+    stream = (_iter_rgs(length, spec.r) if spec.canonical
+              else product(range(1, spec.r + 1), repeat=length))
+    for values in _budgeted(stream, spec.budget):
         yield EdgeColouring(spec.n, spec.r, tuple(values))
 
 
-def _product_colours(length: int, r: int) -> Iterator[list[int]]:
-    values = [1] * length
-    while True:
-        yield values
-        i = length - 1
-        while i >= 0 and values[i] == r:
-            values[i] = 1
-            i -= 1
-        if i < 0:
-            return
-        values[i] += 1
+def _budgeted(stream: Iterator, budget: int | None) -> Iterator:
+    """`stream`, raising BudgetExceededError in place of its item budget + 1."""
+    if budget is None:
+        return stream
+
+    def capped():
+        yield from islice(stream, budget)
+        for _ in stream:
+            raise BudgetExceededError(budget)
+    return capped()
 
 
 # --- exhaustive theorem checks ----------------------------------------------
@@ -252,27 +246,20 @@ class ExhaustReport:
 
 
 def _value_fn(mode: str) -> Callable[[list[list[int]], int, int, int], int]:
-    """The mode's order-only scan, called as (masks, n, m, stop) -> order."""
+    """The mode's order-only value, called as (masks, n, m, stop) -> order.
+
+    The triple mode gives the single-edge value where no two-edge path exists.
+    """
     if mode == "triple":
-        return lambda masks, n, m, stop: _triple_scan(masks, n, m, stop)[0]
+        def triple(masks, n, m, stop):
+            value = _triple_scan(masks, n, m, stop)[0]
+            return value if value >= SINGLE_EDGE else SINGLE_EDGE
+        return triple
     if mode == "double":
         return lambda masks, n, m, stop: _double_scan(masks, n, m, stop)[0]
     if mode == "component":
         return _component_order
     raise ValueError(f"unknown mode: {mode!r}")
-
-
-def _component_order(masks: list[list[int]], n: int, m: int, stop: int) -> int:
-    """Order of the largest monochromatic component, or some order >= stop once one reaches it."""
-    best = 0
-    for c in range(1, m + 1):
-        for comp in component_masks(masks[c]):
-            size = comp.bit_count()
-            if size > best:
-                best = size
-                if size >= stop:
-                    return best
-    return best
 
 
 def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool = False,
@@ -305,7 +292,6 @@ def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool =
         raise ValueError("prove mode needs r >= 3")
     _value_fn(mode)  # validate mode early
     floor = proven_floor(n, r, mode)
-    threshold = math.ceil(floor) if floor is not None else None
     if threads < 1:
         raise ValueError("threads must be >= 1")
     cores = os.cpu_count() or 1
@@ -317,24 +303,22 @@ def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool =
         raise ValueError("budget accounting is single-threaded; drop --threads or the budget")
 
     if threads == 1:
-        part = _scan_chunk(n, r, mode, prove, threshold, (), budget, progress, progress_every)
-        parts = [part]
+        parts = [_scan_chunk(n, r, mode, prove, floor, budget, progress, progress_every, ())]
     else:
         prefixes = _split_prefixes(n, r, threads)
         with Pool(processes=min(threads, len(prefixes))) as pool:
-            parts = pool.map(_chunk_worker,
-                             [(n, r, mode, prove, threshold, p) for p in prefixes])
+            parts = pool.map(partial(_scan_chunk, n, r, mode, prove, floor, None, None, 0),
+                             prefixes)
 
-    checked = sum(p[0] for p in parts)
-    minimum, argmin = min(((p[1], p[2]) for p in parts), key=lambda t: (t[0], t[1]))
-    samples = sorted(set(tuple(v) for p in parts for v in p[3]))[:_VIOLATION_SAMPLE_CAP]
-    violation_count = sum(p[4] for p in parts)
-    proved = sum(p[5] for p in parts)
-    return ExhaustReport(n, r, mode, checked, minimum,
-                         EdgeColouring(n, r, argmin), floor, threshold,
-                         violation_count,
-                         tuple(EdgeColouring(n, r, s) for s in samples),
-                         proved, True)
+    # the chunk holding the lexicographically smallest colouring that attains
+    # the minimum, whatever the schedule, with every chunk's counts summed
+    first = min(parts, key=lambda p: (p.minimum, p.witness.colours))
+    samples = sorted({v.colours for p in parts for v in p.violations})[:_VIOLATION_SAMPLE_CAP]
+    return replace(
+        first, colourings_checked=sum(p.colourings_checked for p in parts),
+        violation_count=sum(p.violation_count for p in parts),
+        violations=tuple(EdgeColouring(n, r, s) for s in samples),
+        proved=sum(p.proved for p in parts))
 
 
 def _split_prefixes(n: int, r: int, threads: int) -> list[tuple[int, ...]]:
@@ -349,23 +333,18 @@ def _split_prefixes(n: int, r: int, threads: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in _iter_rgs(min(depth, length), r)]
 
 
-def _chunk_worker(args) -> tuple:
-    n, r, mode, prove, threshold, prefix = args
-    return _scan_chunk(n, r, mode, prove, threshold, prefix, None, None, 0)
+def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
+                budget: int | None, progress: Callable[[int], None] | None,
+                progress_every: int, prefix: tuple[int, ...]) -> ExhaustReport:
+    """The report on all canonical colourings extending `prefix`.
 
-
-def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
-                prefix: tuple[int, ...], budget: int | None,
-                progress: Callable[[int], None] | None, progress_every: int) -> tuple:
-    """Scan all canonical colourings extending `prefix`.
-
-    Returns (processed, min value, argmin colours, violation samples,
-    violation count, certificates verified).  The returned minimum carries
-    the lexicographically smallest attaining colouring, so merging chunk
-    results stays deterministic whatever the schedule.
+    Its witness is the lexicographically smallest colouring attaining the
+    minimum, and its samples the smallest violations, so merging chunk
+    reports stays deterministic whatever the schedule.  A budget that runs
+    out raises BudgetExceededError carrying the report so far, incomplete.
     """
     value_of = _value_fn(mode)
-    degenerate_floor = SINGLE_EDGE if mode == "triple" else 0
+    threshold = math.ceil(floor) if floor is not None else None
     top = min(r, n * (n - 1) // 2)  # no restricted-growth string of this length uses more
     processed = 0
     best = n + 1
@@ -373,41 +352,37 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, threshold: int | None,
     samples: list[tuple[int, ...]] = []
     violation_count = 0
     proved = 0
-    for a, masks in _walk_masks(n, r, prefix):
-        if budget is not None and processed >= budget:
-            raise BudgetExceededError(
-                processed,
-                partial=ExhaustReport(n, r, mode, processed, best,
-                                      EdgeColouring(n, r, best_colours),
-                                      proven_floor(n, r, mode), threshold,
-                                      violation_count,
-                                      tuple(EdgeColouring(n, r, s) for s in samples),
-                                      proved, False))
-        value = value_of(masks, n, top,
-                         best if threshold is None or best > threshold else threshold)
-        if value < degenerate_floor:
-            value = degenerate_floor
-        bad = threshold is not None and value < threshold
-        if prove:
-            colouring = EdgeColouring(n, r, tuple(a))
-            try:
-                cert = prove_global(colouring, r)
-                report = verify_certificate(colouring, cert)
-                if report.ok:
-                    proved += 1
-                else:
+    ran_out = None
+    try:
+        for a, masks in _budgeted(_walk_masks(n, r, prefix), budget):
+            value = value_of(masks, n, top,
+                             best if threshold is None or best > threshold else threshold)
+            bad = threshold is not None and value < threshold
+            if prove:
+                colouring = EdgeColouring(n, r, tuple(a))
+                try:
+                    if verify_certificate(colouring, prove_global(colouring, r)).ok:
+                        proved += 1
+                    else:
+                        bad = True
+                except TheoremViolation:
                     bad = True
-            except TheoremViolation:
-                bad = True
-        if value < best:
-            best = value
-            best_colours = tuple(a)
-        if bad:
-            violation_count += 1
-            if len(samples) < _VIOLATION_SAMPLE_CAP:
-                samples.append(tuple(a))
-        processed += 1
-        if progress is not None and processed % progress_every == 0:
-            progress(processed)
-    return processed, best, best_colours, samples, violation_count, proved
-
+            if value < best:
+                best = value
+                best_colours = tuple(a)
+            if bad:
+                violation_count += 1
+                if len(samples) < _VIOLATION_SAMPLE_CAP:
+                    samples.append(tuple(a))
+            processed += 1
+            if progress is not None and processed % progress_every == 0:
+                progress(processed)
+    except BudgetExceededError as err:
+        ran_out = err
+    report = ExhaustReport(n, r, mode, processed, best, EdgeColouring(n, r, best_colours),
+                           floor, threshold, violation_count,
+                           tuple(EdgeColouring(n, r, s) for s in samples), proved, ran_out is None)
+    if ran_out is not None:
+        ran_out.partial = report
+        raise ran_out
+    return report

@@ -94,62 +94,44 @@ def _run(colouring: EdgeColouring, mode: str, r: int, bound: Q) -> TripleStarCer
     union = masks[x] | masks[y]
     target = -(-bound.numerator // bound.denominator)  # ceil(bound)
 
-    if ds.order >= target:
-        if ds.order == 2:
-            # bare centre edge; only reachable when the ceiling is <= 2
-            cert = TripleStarCertificate(mode, colouring.n, r, bound, c, trace_centres,
-                                         ds.vertices, 2, True,
-                                         ProofTrace(trace_centres, 2, None, 0))
-            return _guard(cert, colouring, target)
-        centres, verts = _widen(masks, x, y, union)
-        cert = TripleStarCertificate(mode, colouring.n, r, bound, c, centres,
-                                     tuple(iter_bits(verts)), verts.bit_count(), False,
-                                     ProofTrace(trace_centres, ds.order, None, 0))
-        return _guard(cert, colouring, target)
-
-    # |U| = bound - a with a > 0: maximality must hand us a leaf with
-    # outward same-colour degree >= a.
-    if union & ~sum(1 << v for v in set(ds.vertices)):
-        raise TheoremViolation(
-            f"a centre reaches outside its own double star on {x}-{y}",
-            colouring)
-    best_u = -1
-    best_delta = -1
-    for u in ds.vertices:
-        if u == x or u == y:
-            continue
-        delta = (masks[u] & ~union).bit_count()
-        if delta > best_delta:
-            best_u, best_delta = u, delta
-    if best_u < 0:
-        raise TheoremViolation(
-            f"double star of order {ds.order} has no leaf to extend, "
-            f"yet the bound demands {target}", colouring)
-    if (masks[x] >> best_u) & 1:
-        middle, far = x, y
+    if ds.order < target:
+        # |U| = bound - a with a > 0: maximality must hand us a leaf with
+        # outward same-colour degree >= a.
+        if union & ~sum(1 << v for v in set(ds.vertices)):
+            raise TheoremViolation(
+                f"a centre reaches outside its own double star on {x}-{y}",
+                colouring)
+        u = delta = -1
+        for v in ds.vertices:
+            if v == x or v == y:
+                continue
+            outward = (masks[v] & ~union).bit_count()
+            if outward > delta:
+                u, delta = v, outward
+        if u < 0:
+            raise TheoremViolation(
+                f"double star of order {ds.order} has no leaf to extend, "
+                f"yet the bound demands {target}", colouring)
+        leaf = u
+    elif ds.order == 2:
+        # bare centre edge; only reachable when the ceiling is <= 2, so the
+        # order meets it
+        return TripleStarCertificate(mode, colouring.n, r, bound, c, trace_centres,
+                                     ds.vertices, 2, True,
+                                     ProofTrace(trace_centres, 2, None, 0))
     else:
-        middle, far = y, x
-    ends = (min(best_u, far), max(best_u, far))
-    verts = masks[best_u] | masks[x] | masks[y]
+        # U meets the bound: promote its smallest leaf to a third centre,
+        # which keeps every vertex of U
+        pool = masks[x] & ~(1 << y) or masks[y] & ~(1 << x)
+        u = (pool & -pool).bit_length() - 1
+        leaf, delta = None, 0
+    middle, far = (x, y) if (masks[x] >> u) & 1 else (y, x)
+    verts = masks[u] | union
     cert = TripleStarCertificate(mode, colouring.n, r, bound, c,
-                                 (ends[0], middle, ends[1]),
+                                 (min(u, far), middle, max(u, far)),
                                  tuple(iter_bits(verts)), verts.bit_count(), False,
-                                 ProofTrace(trace_centres, ds.order, best_u, best_delta))
+                                 ProofTrace(trace_centres, ds.order, leaf, delta))
     return _guard(cert, colouring, target)
-
-
-def _widen(masks: list[int], x: int, y: int, union: int) -> tuple[tuple[int, int, int], int]:
-    """Promote the smallest leaf to a third centre; keeps every vertex of U."""
-    leaf_pool = masks[x] & ~(1 << y)
-    if leaf_pool:
-        z = (leaf_pool & -leaf_pool).bit_length() - 1
-        middle, far = x, y
-    else:
-        leaf_pool = masks[y] & ~(1 << x)
-        z = (leaf_pool & -leaf_pool).bit_length() - 1
-        middle, far = y, x
-    verts = masks[z] | masks[x] | masks[y]
-    return (min(z, far), middle, max(z, far)), verts
 
 
 def _guard(cert: TripleStarCertificate, colouring: EdgeColouring,

@@ -22,7 +22,7 @@ best reaches it the scan returns at once, with the first candidate in scan
 order whose order is >= stop, which may fall short of the maximum.  An
 exhaustive check that only asks whether a colouring's maximum falls below
 the running minimum passes that minimum; every other caller passes n + 1,
-which no order reaches.
+which no order reaches.  The largest-component scan takes the same `stop`.
 """
 from __future__ import annotations
 
@@ -192,6 +192,19 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
                         elif c == best_c and u < best_u:
                             best_u, best_x, best_w = u, x, w
     return best, best_c, best_u, best_x, best_w
+
+
+def _component_order(masks: list[list[int]], n: int, m: int, stop: int) -> int:
+    """Order of the largest monochromatic component, or some order >= stop once one reaches it."""
+    best = 0
+    for c in range(1, m + 1):
+        for comp in component_masks(masks[c]):
+            size = comp.bit_count()
+            if size > best:
+                best = size
+                if size >= stop:
+                    return best
+    return best
 
 
 def max_double_star(colouring: EdgeColouring) -> DoubleStarWitness:

@@ -477,13 +477,14 @@ MALFORMED_INPUTS = [
     lambda tmp_path: ["gen", "random", "--n", "4", "--r", str(10**20), "--seed", "1"],
     _analyze_text("4\n1 2 3 1 2 3\n"),
     _analyze_text("4 x\n1 2 3 1 2 3\n"),
+    _analyze_text("3 1180591620717411303424\n1 1 1\n"),
 ]
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED_INPUTS,
                          ids=["nested-certificate", "5000-digit-certificate-integer",
                               "huge-search-r", "huge-gen-random-r", "one-value-header",
-                              "non-integer-header"])
+                              "non-integer-header", "huge-header-m"])
 def test_malformed_input_exits_without_a_traceback(tmp_path, make_argv):
     src = str(Path(tristar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

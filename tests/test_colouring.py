@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import tristar.colouring as colouring_module
 from tristar.colouring import (EdgeColouring, colour_components, component_bound,
                                double_star_bound, double_star_bound_local,
                                edge_count, edge_index, format_colouring,
@@ -131,6 +132,15 @@ def test_parse_ignores_comments_blanks_and_line_breaks():
 
 def test_parse_accepts_all_values_on_one_line():
     assert parse_colouring("4 3\n1 2 3 3 2 1") == K4_PROPER
+
+
+def test_parse_caps_the_header_colour_count():
+    cap = colouring_module._MAX_M
+    assert cap >= edge_count(2000)
+    assert parse_colouring(f"3 {cap}\n1 2 {cap}\n").m == cap
+    with pytest.raises(ColouringFormatError, match="too large") as err:
+        parse_colouring(f"# big\n3 {cap + 1}\n1 2 3\n")
+    assert (err.value.line, err.value.column) == (2, 3)
 
 
 def test_parse_errors_carry_line_and_column():

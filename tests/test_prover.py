@@ -390,6 +390,87 @@ def test_every_k5_r3_certificate_is_pinned_and_verifies():
     assert digest.hexdigest() == K5_R3_CERTIFICATES_SHA256
 
 
+# The goldens below were recorded before the widen, extend and degenerate
+# branches of the prover shared one certificate build; each pins one branch.
+
+def proof_branch(cert: TripleStarCertificate) -> str:
+    if cert.degenerate:
+        return "degenerate"
+    return "widen" if cert.trace.leaf_u is None else "extend"
+
+
+# sha256 of the concatenated `certificate_to_json` of every canonical
+# 3-colouring of K4, in enumeration order: 121 widen and 1 degenerate
+K4_R3_CERTIFICATES_SHA256 = "cab1d9b9f2c197dc7f658f6a77edb64c940adf4d6f252c7129029bc960acade1"
+
+
+def test_every_k4_r3_certificate_is_pinned_beside_the_degenerate_one():
+    digest = hashlib.sha256()
+    branches = {"widen": 0, "extend": 0, "degenerate": 0}
+    for colouring in enumerate_colourings(EnumerationSpec(4, 3)):
+        cert = prove_global(colouring, 3)
+        assert verify_certificate(colouring, cert).ok, colouring.colours
+        branches[proof_branch(cert)] += 1
+        digest.update(certificate_to_json(cert).encode())
+    assert branches == {"widen": 121, "extend": 0, "degenerate": 1}
+    assert digest.hexdigest() == K4_R3_CERTIFICATES_SHA256
+
+
+def shuffled_vertices(colouring: EdgeColouring, seed: int) -> EdgeColouring:
+    """The same colouring with its vertices renamed by a seeded permutation."""
+    n = colouring.n
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    colours = [0] * edge_count(n)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            a, b = sorted((perm[i], perm[j]))
+            colours[edge_index(n, a, b)] = colouring.colour_of(i, j)
+    return EdgeColouring(n, colouring.m, tuple(colours))
+
+
+LOCAL_WIDEN_CERTIFICATES = {
+    2: '{"format_version":1,"mode":"local","n":14,"r":3,"bound":{"num":6,"den":1},'
+       '"colour":1,"centres":[4,1,6],"vertices":[1,4,6,8,11,12],"order":6,'
+       '"degenerate":false,"trace":{"centres_U":[1,4],"order_U":6,"leaf_u":null,"delta":0}}\n',
+    3: '{"format_version":1,"mode":"local","n":26,"r":4,"bound":{"num":8,"den":1},'
+       '"colour":1,"centres":[11,9,13],"vertices":[9,11,13,14,19,20,22,23],"order":8,'
+       '"degenerate":false,"trace":{"centres_U":[9,11],"order_U":8,"leaf_u":null,"delta":0}}\n',
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_local_widen_certificate_on_a_shuffled_blowup_is_pinned(q):
+    colouring = shuffled_vertices(projective_local_colouring(q, 2), q)
+    cert = prove_local(colouring, q + 1)
+    assert proof_branch(cert) == "widen"
+    assert certificate_to_json(cert) == LOCAL_WIDEN_CERTIFICATES[q]
+    assert verify_certificate(colouring, cert).ok
+
+
+EXTEND_CERTIFICATES = {
+    1: '{"format_version":1,"mode":"global","n":12,"r":4,"bound":{"num":4,"den":1},'
+       '"colour":1,"centres":[0,1,2],"vertices":[0,1,2,3],"order":4,"degenerate":false,'
+       '"trace":{"centres_U":[0,1],"order_U":3,"leaf_u":2,"delta":1}}\n',
+    2: '{"format_version":1,"mode":"global","n":12,"r":4,"bound":{"num":4,"den":1},'
+       '"colour":1,"centres":[0,1,2],"vertices":[0,1,2,3,4],"order":5,"degenerate":false,'
+       '"trace":{"centres_U":[0,1],"order_U":3,"leaf_u":2,"delta":2}}\n',
+}
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_extension_certificates_are_pinned(monkeypatch, delta):
+    colouring, star = extension_fixture()
+    if delta == 2:  # as in test_extension_step_picks_the_best_leaf
+        colours = list(colouring.colours)
+        colours[edge_index(12, 2, 4)] = 1
+        colouring = EdgeColouring(12, 4, tuple(colours))
+    monkeypatch.setattr(prover_module, "max_double_star", lambda c: star)
+    cert = prove_global(colouring, 4)
+    assert proof_branch(cert) == "extend"
+    assert certificate_to_json(cert) == EXTEND_CERTIFICATES[delta]
+
+
 # (seed of random_colouring(12, 4, seed), vertices dropped, vertices added,
 # the full failure tuple): each forgery of the vertex list either passes the
 # one-BFS radius check or falls back to the full diameter with its message
