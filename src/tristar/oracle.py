@@ -11,14 +11,18 @@ exactly once.  Every star or component order is invariant under
 relabelling, which is what makes the quotient sound for these checks.
 
 The exhaustive checks report only the minimum of the per-colouring maxima
-and the colourings below the proven threshold, so each order-only scan
-stops as soon as its best reaches max(running minimum, threshold): a value
-below that stop is exact, and one at or above it changes nothing in the
-report.  The cutoff changes how far a scan runs, never which colourings
-are scanned, so the quotient stays sound.  The colour masks are kept live
-along the walk: the next restricted-growth string differs from the last
-only in the suffix from its last label other than 1, so only those edges
-move.
+and the colourings below the proven threshold, so nothing at or above
+stop = max(running minimum, threshold) changes the report.  Each
+order-only scan stops as soon as its best reaches that stop: a value below
+it is exact.  The walk over the strings settles whole subtrees the same
+way: adding an edge to a colour never lowers a star or component order, so
+once a prefix's partial colouring reaches the stop, every completion does
+too, and the subtree is counted in closed form, or only proved and
+verified under --prove.  The cuts change how much of each colouring is
+looked at, never which colourings are covered, so the quotient stays
+sound and every report is the one a full scan of each colouring gives.
+The colour masks are kept live along the walk, which pushes and pops one
+edge's bits at a time.
 """
 from __future__ import annotations
 
@@ -105,20 +109,54 @@ class EnumerationSpec:
 
 
 def canonical_count(n: int, r: int) -> int:
-    """Closed-form count of restricted-growth strings with at most r symbols.
+    """Closed-form count of restricted-growth strings of length C(n,2) with at most r symbols.
 
-    Sum over j of the Stirling partition numbers S(C(n,2), j), j = 1..r.
+    The number of completions of the empty prefix, which uses no label yet.
     """
     length = n * (n - 1) // 2
     if length < 1 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    row = [1] + [0] * r  # S(0, j)
-    for _ in range(length):
-        nxt = [0] * (r + 1)
-        for j in range(1, r + 1):
-            nxt[j] = row[j - 1] + j * row[j]
-        row = nxt
-    return sum(row[1:])
+    return _completion_counts(r, None)(length, 0)
+
+
+def _completion_counts(r: int, cap: int | None) -> Callable[[int, int], int]:
+    """g(rem, t): the ways to extend a restricted-growth string that uses t of
+    r labels by rem more, held at `cap` at most when one is given.
+
+    g(0, t) = 1, g(rem, t) = t*g(rem-1, t) + g(rem-1, t+1) for t < r and
+    r*g(rem-1, r) at t = r.  Rows are built as they are asked for; g grows
+    with t, so once a row's t = 0 entry reaches the cap every later row is
+    the cap throughout and none is built, and no entry outgrows the cap.
+    """
+    rows = [[1] * (r + 1)]  # rows[rem][t]
+
+    def count(rem: int, t: int) -> int:
+        while len(rows) <= rem:
+            last = rows[-1]
+            if cap is not None and last[0] >= cap:
+                return cap
+            row = [s * last[s] + last[s + 1] for s in range(r)] + [r * last[r]]
+            rows.append(row if cap is None else [min(v, cap) for v in row])
+        return rows[rem][t]
+    return count
+
+
+def _first_string(length: int, r: int,
+                  prefix: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The first restricted-growth string extending `prefix`, 1 after it, and
+    tops, where tops[k] is the number of labels its first k entries use."""
+    if length < 1 or r < 1:
+        raise ValueError("need length >= 1 and r >= 1")
+    if len(prefix) > length:
+        raise ValueError("prefix longer than the string")
+    tops = [0]
+    for i, v in enumerate(prefix):
+        if not 1 <= v <= min(r, tops[i] + 1):
+            raise ValueError(f"prefix not restricted-growth at position {i}: {v}")
+        tops.append(max(tops[i], v))
+    rest = length - len(prefix)
+    tops += [max(tops[-1], 1)] * rest
+    return list(prefix) + [1] * rest, tops
 
 
 def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[list[int]]:
@@ -127,18 +165,7 @@ def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[lis
     Yields one reused buffer in lexicographic order; callers must copy
     anything they keep.
     """
-    if length < 1 or r < 1:
-        raise ValueError("need length >= 1 and r >= 1")
-    if len(prefix) > length:
-        raise ValueError("prefix longer than the string")
-    a = list(prefix) + [1] * (length - len(prefix))
-    top = [0] * (length + 1)  # top[i] = max of a[:i]
-    for i, v in enumerate(prefix):
-        if not 1 <= v <= min(r, top[i] + 1):
-            raise ValueError(f"prefix not restricted-growth at position {i}: {v}")
-        top[i + 1] = v if v > top[i] else top[i]
-    for i in range(len(prefix), length):
-        top[i + 1] = top[i] if top[i] >= 1 else 1
+    a, top = _first_string(length, r, prefix)
     start = len(prefix)
     while True:
         yield a
@@ -159,41 +186,78 @@ def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[lis
             return
 
 
+def _walk(n: int, r: int, prefix: tuple[int, ...],
+          settled: Callable[[list[list[int]]], bool] | None
+          ) -> Iterator[tuple[list[int], list[list[int]], int, int]]:
+    """Depth-first walk of the restricted-growth strings over the row-major
+    edges of K_n that extend `prefix`, settling whole subtrees where asked.
+
+    Yields (a, masks, depth, used): a[:depth] uses `used` labels and masks
+    holds its colour masks, with min(r, C(n,2)) colours.  depth = C(n,2)
+    marks a full string; the full strings come in _iter_rgs order.  Every
+    prefix longer than `prefix` that the walk enters after the first full
+    string goes to `settled` (None settles none); when that returns true,
+    the prefix is yielded in place of its whole subtree, with a[depth:] all
+    0, and the walk moves on to the next sibling.  Both a and masks are
+    reused buffers, moved one edge at a time: a label change swaps that
+    edge's bits between two colours, a step back clears them.
+    """
+    length = n * (n - 1) // 2
+    a, tops = _first_string(length, r, prefix)
+    masks = colour_masks(n, min(r, length), a)
+    yield a, masks, length, tops[length]
+    start = len(prefix)
+    if start == length:
+        return
+    k = last = length - 1
+    i, j = n - 2, n - 1  # the ends of edge k
+    bi, bj = 1 << i, 1 << j
+    while True:
+        old = a[k]
+        if old:
+            row = masks[old]
+            row[i] ^= bj
+            row[j] ^= bi
+        if old < r and old <= tops[k]:  # old + 1 is a legal label here
+            new = a[k] = old + 1
+            row = masks[new]
+            row[i] |= bj
+            row[j] |= bi
+            tops[k + 1] = new if new > tops[k] else tops[k]
+            if k == last:
+                yield a, masks, length, tops[length]
+            elif settled is not None and settled(masks):
+                yield a, masks, k + 1, tops[k + 1]
+            else:  # enter the subtree at edge k + 1, label 0 for now
+                k += 1
+                j += 1
+                if j == n:
+                    i += 1
+                    j = i + 1
+                    bi = 1 << i
+                bj = 1 << j
+        else:  # every label tried: step back to edge k - 1
+            a[k] = 0
+            if k == start:
+                return
+            k -= 1
+            j -= 1
+            if j == i:
+                i -= 1
+                j = n - 1
+                bi = 1 << i
+            bj = 1 << j
+
+
 def _walk_masks(n: int, r: int,
                 prefix: tuple[int, ...]) -> Iterator[tuple[list[int], list[list[int]]]]:
     """(a, masks) for every restricted-growth string a extending `prefix`, as _iter_rgs yields it.
 
-    masks are the colour masks of a over the row-major edges of K_n, with
-    min(r, C(n,2)) colours.  Both are reused buffers: masks is one table
-    built in full for the first string and then kept in step with a, by
-    moving only the edges of the suffix that starts at a's last label other
-    than 1, the only labels that differ from the string before.
+    The walk with no cuts: masks are the colour masks of a over the
+    row-major edges of K_n, with min(r, C(n,2)) colours, and both are reused
+    buffers.
     """
-    ends = [(i, j, 1 << i, 1 << j) for i in range(n - 1) for j in range(i + 1, n)]
-    last = len(ends) - 1
-    strings = _iter_rgs(len(ends), r, prefix)
-    a = next(strings)
-    masks = colour_masks(n, min(r, len(ends)), a)
-    seen = list(a)  # the labels the masks hold
-    yield a, masks
-    for a in strings:
-        k = last
-        while True:
-            new = a[k]
-            old = seen[k]
-            if old != new:
-                i, j, bi, bj = ends[k]
-                row = masks[old]
-                row[i] ^= bj
-                row[j] ^= bi
-                row = masks[new]
-                row[i] |= bj
-                row[j] |= bi
-                seen[k] = new
-            if new != 1:
-                break
-            k -= 1
-        yield a, masks
+    return ((a, masks) for a, masks, _, _ in _walk(n, r, prefix, None))
 
 
 def enumerate_colourings(spec: EnumerationSpec) -> Iterator[EdgeColouring]:
@@ -276,12 +340,14 @@ def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool =
     With prove on, the proof engine runs on every colouring and each
     certificate is independently verified; failures count as violations.
 
-    Each order-only scan stops once its best reaches max(minimum so far,
-    threshold), or the minimum so far without a threshold: a value below
-    that stop is exact, and a value at or above it can lower neither the
-    minimum nor add a violation, so the report is the one full scans give.
-    Colourings are still taken up to colour relabelling only, which every
-    order is invariant under, so the quotient stays sound.
+    Nothing at or above max(minimum so far, threshold), or the minimum so
+    far without a threshold, can lower the minimum or add a violation, so
+    each order-only scan stops there, and a prefix whose partial colouring
+    already reaches it settles its whole subtree (see _scan_chunk):
+    colourings_checked counts every colouring covered, and the report is
+    the one full scans of every colouring give.  Colourings are still taken
+    up to colour relabelling only, which every order is invariant under, so
+    the quotient stays sound.
     """
     if n < 2 or r < 2:
         raise ValueError("need n >= 2 and r >= 2")
@@ -338,6 +404,18 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
                 progress_every: int, prefix: tuple[int, ...]) -> ExhaustReport:
     """The report on all canonical colourings extending `prefix`.
 
+    Once the first colouring has set stop = max(minimum so far, threshold),
+    or the minimum so far without a threshold, the walk values every prefix
+    it enters.  Adding an edge to a colour never lowers a star or component
+    order, so when a prefix's partial colouring already reaches stop, every
+    completion does too: none lowers the minimum, none ties it ahead of the
+    witness, which the walk met earlier, and none falls below the threshold.
+    The prefix's subtree is settled at once.  Without prove its colourings
+    are counted in closed form; with prove each one is still proved and
+    verified, and only its value scan is skipped.  colourings_checked counts
+    the colourings covered, settled subtrees included, and the budget and
+    the progress ticks fall on the counts a walk over every colouring gives.
+
     Its witness is the lexicographically smallest colouring attaining the
     minimum, and its samples the smallest violations, so merging chunk
     reports stays deterministic whatever the schedule.  A budget that runs
@@ -345,38 +423,68 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
     """
     value_of = _value_fn(mode)
     threshold = math.ceil(floor) if floor is not None else None
-    top = min(r, n * (n - 1) // 2)  # no restricted-growth string of this length uses more
+    length = n * (n - 1) // 2
+    top = min(r, length)  # no restricted-growth string of this length uses more
+    completions = _completion_counts(r, None if budget is None else budget + 1)
     processed = 0
-    best = n + 1
+    best, stop = n + 1, n  # no order exceeds n, so a scan that stops at n is exact
     best_colours: tuple[int, ...] = ()
     samples: list[tuple[int, ...]] = []
     violation_count = 0
     proved = 0
     ran_out = None
-    try:
-        for a, masks in _budgeted(_walk_masks(n, r, prefix), budget):
-            value = value_of(masks, n, top,
-                             best if threshold is None or best > threshold else threshold)
-            bad = threshold is not None and value < threshold
-            if prove:
-                colouring = EdgeColouring(n, r, tuple(a))
-                try:
-                    if verify_certificate(colouring, prove_global(colouring, r)).ok:
-                        proved += 1
-                    else:
-                        bad = True
-                except TheoremViolation:
+
+    def settled(masks: list[list[int]]) -> bool:
+        return value_of(masks, n, top, stop) >= stop
+
+    def cover(size: int) -> None:
+        """Count `size` more colourings, as far as the budget allows, with a
+        progress tick at every multiple of progress_every they pass."""
+        nonlocal processed
+        room = size if budget is None else min(size, budget - processed)
+        if progress is not None:
+            for done in range(processed - processed % progress_every + progress_every,
+                              processed + room + 1, progress_every):
+                progress(done)
+        processed += room
+        if room < size:
+            raise BudgetExceededError(budget)
+
+    def record(colours: tuple[int, ...], bad: bool) -> None:
+        """Prove and verify the colouring when asked; count it if it is bad."""
+        nonlocal proved, violation_count
+        if prove:
+            colouring = EdgeColouring(n, r, colours)
+            try:
+                if verify_certificate(colouring, prove_global(colouring, r)).ok:
+                    proved += 1
+                else:
                     bad = True
-            if value < best:
-                best = value
-                best_colours = tuple(a)
-            if bad:
-                violation_count += 1
-                if len(samples) < _VIOLATION_SAMPLE_CAP:
-                    samples.append(tuple(a))
-            processed += 1
-            if progress is not None and processed % progress_every == 0:
-                progress(processed)
+            except TheoremViolation:
+                bad = True
+        if bad:
+            violation_count += 1
+            if len(samples) < _VIOLATION_SAMPLE_CAP:
+                samples.append(colours)
+
+    try:
+        for a, masks, depth, used in _walk(n, r, prefix, settled):
+            if depth == length:
+                cover(1)
+                value = value_of(masks, n, top, stop)
+                if value < best:
+                    best = value
+                    best_colours = tuple(a)
+                    stop = best if threshold is None or best > threshold else threshold
+                bad = threshold is not None and value < threshold
+                if prove or bad:
+                    record(tuple(a), bad)
+            elif prove:
+                for leaf in _iter_rgs(length, r, tuple(a[:depth])):
+                    cover(1)
+                    record(tuple(leaf), False)
+            else:
+                cover(completions(length - depth, used))
     except BudgetExceededError as err:
         ran_out = err
     report = ExhaustReport(n, r, mode, processed, best, EdgeColouring(n, r, best_colours),
