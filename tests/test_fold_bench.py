@@ -47,6 +47,9 @@ def test_fold_records_medians_iqrs_and_the_baseline_spread(tmp_path):
     throughput = parent["workloads"]["exhaust-small"]["metrics"]["throughput_per_s"]
     assert throughput["median"] == 120 and throughput["iqr"] == 20
     assert bench["median_ratio_to_baseline"]["change"]["exhaust-small"]["throughput_per_s"] == 170 / 120
+    wins = bench["wins_over_baseline_on_shared_seeds"]["change"]["exhaust-small"]
+    assert wins["throughput_per_s"] == wins["latency_p50_s"] == {"wins": 5, "pairs": 5}
+    assert wins["setup_s"] == {"wins": 4, "pairs": 5}  # seed 0 ties
     spread = bench["baseline_setup_s_spread"]["exhaust-small"]
     assert abs(spread["range_over_median"] - 0.04 / 0.22) < 1e-12
     assert abs(spread["worst_round_range_in_one_run"] - 1.5) < 1e-12

@@ -12,7 +12,9 @@ records its Python version, nproc, commit and package source sha256, which
 must be the same in all of its records.  The first version is taken as
 unchanged code: its setup_s spread, over seeds and over the set-up rounds
 inside each run, is recorded beside it, and every later version gets the
-ratio of its medians to the first version's.
+ratio of its medians to the first version's and, per metric, how many of
+the seeds both ran it read better on (BENCHMARK.json says which way is
+better).
 
 Standard library only; it reads no package code.
 """
@@ -37,6 +39,15 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "iqr": q3 - q1}
 
 
+def paired_wins(baseline: dict, change: dict, metric: str, higher: bool) -> dict:
+    """On the seeds both versions ran, how often the change read better."""
+    old = dict(zip(baseline["seeds"], baseline["metrics"][metric]["values"]))
+    new = dict(zip(change["seeds"], change["metrics"][metric]["values"]))
+    shared = sorted(set(old) & set(new))
+    won = sum((new[s] > old[s]) if higher else (new[s] < old[s]) for s in shared)
+    return {"wins": won, "pairs": len(shared)}
+
+
 def load(directory: str) -> list[dict]:
     records = []
     for path in sorted(glob.glob(os.path.join(directory, "result-*-trace0.json"))):
@@ -48,8 +59,11 @@ def load(directory: str) -> list[dict]:
 
 
 def fold_version(records: list[dict], metrics: list[str]) -> dict:
-    environment = {key: sorted({str(r["environment"][key]) for r in records})
-                   for key in ENVIRONMENT}
+    environment = {key: [] for key in ENVIRONMENT}
+    for record in records:
+        for key, values in environment.items():
+            if record["environment"][key] not in values:
+                values.append(record["environment"][key])
     mixed = [key for key, values in environment.items() if len(values) > 1]
     if mixed:
         raise ValueError(f"records differ in {', '.join(mixed)}: {environment}")
@@ -99,7 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.benchmark, encoding="utf-8") as fh:
-            metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
+            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = list(better)
         pairs = [item.split("=", 1) for item in args.versions]
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError("each version is NAME=DIR")
@@ -109,21 +124,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     base = pairs[0][0]
-    ratios = {}
+    ratios, wins = {}, {}
     for name, version in versions.items():
         if name == base:
             continue
-        ratios[name] = {
-            workload: {metric: entry["median"] / versions[base]["workloads"][workload]["metrics"][metric]["median"]
-                       for metric, entry in folded["metrics"].items()}
-            for workload, folded in version["workloads"].items()
-            if workload in versions[base]["workloads"]}
+        ratios[name], wins[name] = {}, {}
+        for workload, folded in version["workloads"].items():
+            if workload not in versions[base]["workloads"]:
+                continue
+            baseline = versions[base]["workloads"][workload]
+            ratios[name][workload] = {
+                metric: entry["median"] / baseline["metrics"][metric]["median"]
+                for metric, entry in folded["metrics"].items()}
+            wins[name][workload] = {
+                metric: paired_wins(baseline, folded, metric, better[metric] == "higher")
+                for metric in metrics}
     bench = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "metrics": metrics,
         "baseline": base,
         "versions": versions,
         "median_ratio_to_baseline": ratios,
+        "wins_over_baseline_on_shared_seeds": wins,
         "baseline_setup_s_spread": setup_spread(records[base]),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
