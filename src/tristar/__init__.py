@@ -6,113 +6,9 @@ order at least n/(r-1) (global r-colourings, r >= 3) or rn/(r^2-r+1)
 (local r-colourings); finite-geometry generators showing both bounds
 tight; brute-force oracles and exhaustive small-n checks; and a simulated
 annealer probing how small these structures can be made.
-"""
-from __future__ import annotations
 
-from .bipartite import (BipartiteColouredGraph, CentreEdge, G2Construction,
-                        MonoCentreEdge, build_G2, lemma1_bound, lemma2_bound,
-                        max_double_star_bipartite,
-                        max_mono_double_star_bipartite, random_bipartite,
-                        random_local_bipartite)
-from .cli import AnalysisReport, BoundComparison, build_analysis, main
-from .colouring import (BoundEntry, ComponentWitness, EdgeColouring,
-                        LocalityReport, ValidationReport, colour_components,
-                        component_bound, double_star_bound,
-                        double_star_bound_local, edge_count, edge_index,
-                        format_colouring, known_bounds, local_component_bound,
-                        locality, max_component, no_affine_component_bound,
-                        parse_colouring, proven_floor, subgraph_diameter,
-                        triple_star_bound, triple_star_bound_local, validate)
-from .errors import (BudgetExceededError, CertificateFormatError,
-                     ColouringFormatError, TheoremViolation)
-from .explorer import SearchConfig, SearchEvent, SearchOutcome, anneal, objective
-from .generators import (affine_colouring, constant_colouring,
-                         projective_local_colouring, random_colouring)
-from .oracle import (EnumerationSpec, ExhaustReport, brute_max_double_star,
-                     brute_max_triple_star, canonical_count,
-                     enumerate_colourings, exhaustive_theorem_check)
-from .prover import (ProofTrace, TripleStarCertificate, VerificationReport,
-                     certificate_from_json, certificate_to_json, prove_global,
-                     prove_local, verify_certificate)
-from .rng import SplitMix64
-from .stars import (DoubleStarWitness, TripleStarWitness, double_star_order,
-                    max_double_star, max_triple_star, triple_star_order)
+Each name is imported from the module that defines it; the package root
+holds only __version__, so importing one module loads no other.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisReport",
-    "BipartiteColouredGraph",
-    "BoundComparison",
-    "BoundEntry",
-    "BudgetExceededError",
-    "CentreEdge",
-    "CertificateFormatError",
-    "ColouringFormatError",
-    "ComponentWitness",
-    "DoubleStarWitness",
-    "EdgeColouring",
-    "EnumerationSpec",
-    "ExhaustReport",
-    "G2Construction",
-    "LocalityReport",
-    "MonoCentreEdge",
-    "ProofTrace",
-    "SearchConfig",
-    "SearchEvent",
-    "SearchOutcome",
-    "SplitMix64",
-    "TheoremViolation",
-    "TripleStarCertificate",
-    "TripleStarWitness",
-    "ValidationReport",
-    "VerificationReport",
-    "affine_colouring",
-    "anneal",
-    "brute_max_double_star",
-    "brute_max_triple_star",
-    "build_G2",
-    "build_analysis",
-    "canonical_count",
-    "certificate_from_json",
-    "certificate_to_json",
-    "colour_components",
-    "component_bound",
-    "constant_colouring",
-    "double_star_bound",
-    "double_star_bound_local",
-    "double_star_order",
-    "edge_count",
-    "edge_index",
-    "enumerate_colourings",
-    "exhaustive_theorem_check",
-    "format_colouring",
-    "known_bounds",
-    "lemma1_bound",
-    "lemma2_bound",
-    "local_component_bound",
-    "locality",
-    "main",
-    "max_component",
-    "max_double_star",
-    "max_double_star_bipartite",
-    "max_mono_double_star_bipartite",
-    "max_triple_star",
-    "no_affine_component_bound",
-    "objective",
-    "parse_colouring",
-    "projective_local_colouring",
-    "prove_global",
-    "prove_local",
-    "proven_floor",
-    "random_bipartite",
-    "random_colouring",
-    "random_local_bipartite",
-    "subgraph_diameter",
-    "triple_star_bound",
-    "triple_star_bound_local",
-    "triple_star_order",
-    "validate",
-    "verify_certificate",
-    "__version__",
-]

@@ -271,20 +271,10 @@ def enumerate_colourings(spec: EnumerationSpec) -> Iterator[EdgeColouring]:
     length = spec.n * (spec.n - 1) // 2
     stream = (_iter_rgs(length, spec.r) if spec.canonical
               else product(range(1, spec.r + 1), repeat=length))
-    for values in _budgeted(stream, spec.budget):
+    for values in islice(stream, spec.budget):
         yield EdgeColouring(spec.n, spec.r, tuple(values))
-
-
-def _budgeted(stream: Iterator, budget: int | None) -> Iterator:
-    """`stream`, raising BudgetExceededError in place of its item budget + 1."""
-    if budget is None:
-        return stream
-
-    def capped():
-        yield from islice(stream, budget)
-        for _ in stream:
-            raise BudgetExceededError(budget)
-    return capped()
+    for _ in stream:
+        raise BudgetExceededError(spec.budget)
 
 
 # --- exhaustive theorem checks ----------------------------------------------
@@ -413,8 +403,10 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
     The prefix's subtree is settled at once.  Without prove its colourings
     are counted in closed form; with prove each one is still proved and
     verified, and only its value scan is skipped.  colourings_checked counts
-    the colourings covered, settled subtrees included, and the budget and
-    the progress ticks fall on the counts a walk over every colouring gives.
+    the colourings covered, settled subtrees included, and the budget falls
+    on the count a walk over every colouring gives.  Progress ticks at most
+    once per step of the walk, at the last multiple of progress_every that
+    the step passes, so a leaf-by-leaf walk ticks at every multiple.
 
     Its witness is the lexicographically smallest colouring attaining the
     minimum, and its samples the smallest violations, so merging chunk
@@ -438,15 +430,14 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
         return value_of(masks, n, top, stop) >= stop
 
     def cover(size: int) -> None:
-        """Count `size` more colourings, as far as the budget allows, with a
-        progress tick at every multiple of progress_every they pass."""
+        """Count `size` more colourings, as far as the budget allows, with one
+        progress tick at the last multiple of progress_every they pass."""
         nonlocal processed
         room = size if budget is None else min(size, budget - processed)
-        if progress is not None:
-            for done in range(processed - processed % progress_every + progress_every,
-                              processed + room + 1, progress_every):
-                progress(done)
-        processed += room
+        done = processed + room
+        if progress is not None and done // progress_every > processed // progress_every:
+            progress(done - done % progress_every)
+        processed = done
         if room < size:
             raise BudgetExceededError(budget)
 

@@ -15,11 +15,13 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tristar.oracle as oracle_module
 from tristar.cli import main
 from tristar.colouring import EdgeColouring, edge_count, proven_floor
 from tristar.errors import BudgetExceededError, TheoremViolation
@@ -68,23 +70,54 @@ def uncut_report(n: int, r: int, mode: str, prove: bool, prefix: tuple[int, ...]
 
 
 def cut_report(n: int, r: int, mode: str, prove: bool, prefix: tuple[int, ...] = (),
-               budget: int | None = None, every: int = 7) -> tuple[ExhaustReport, list[int]]:
-    """The chunk scan's report, partial when the budget runs out, and its progress ticks."""
+               budget: int | None = None,
+               every: int = 7) -> tuple[ExhaustReport, list[int], list[int]]:
+    """The chunk scan's report, partial when the budget runs out, its progress
+    ticks, and the colourings under each step of its walk: 1 for a full
+    string, the closed-form count for a settled prefix."""
     ticks: list[int] = []
-    try:
-        report = _scan_chunk(n, r, mode, prove, proven_floor(n, r, mode), budget, ticks.append,
-                             every, prefix)
-    except BudgetExceededError as err:
-        assert err.processed == budget
-        report = err.partial
-    return report, ticks
+    steps: list[int] = []
+    length = edge_count(n)
+    exact = _completion_counts(r, None)
+
+    def recorded(*args):
+        for a, masks, depth, used in _walk(*args):
+            steps.append(exact(length - depth, used))
+            yield a, masks, depth, used
+
+    with patch.object(oracle_module, "_walk", recorded):
+        try:
+            report = _scan_chunk(n, r, mode, prove, proven_floor(n, r, mode), budget,
+                                 ticks.append, every, prefix)
+        except BudgetExceededError as err:
+            assert err.processed == budget
+            report = err.partial
+    return report, ticks, steps
+
+
+def expected_ticks(steps: list[int], prove: bool, budget: int | None, every: int) -> list[int]:
+    """One tick per count, at the last multiple of `every` it passes; --prove
+    counts a settled subtree one colouring at a time, and a count the budget
+    cuts short stops the scan."""
+    counts = [1] * sum(steps) if prove else steps
+    ticks, done = [], 0
+    for size in counts:
+        room = size if budget is None else min(size, budget - done)
+        if (done + room) // every > done // every:
+            ticks.append((done + room) // every * every)
+        done += room
+        if room < size:
+            break
+    return ticks
 
 
 def assert_cuts_agree(n, r, mode, prove, prefix=(), budget=None, every=7):
     want = uncut_report(n, r, mode, prove, prefix, budget)
-    got, ticks = cut_report(n, r, mode, prove, prefix, budget, every)
+    got, ticks, steps = cut_report(n, r, mode, prove, prefix, budget, every)
     assert got == want
-    assert ticks == list(range(every, want.colourings_checked + 1, every))
+    assert ticks == expected_ticks(steps, prove, budget, every)
+    if prove or len(steps) == want.colourings_checked:  # leaf by leaf: every multiple
+        assert ticks == list(range(every, want.colourings_checked + 1, every))
 
 
 # every space the walk with no cuts covers in a few seconds; --prove where
@@ -199,8 +232,23 @@ def test_exhaust_k7_golden_output(capsys):
     assert main(["exhaust", "--n", "7", "--r", "3", "--mode", "triple"]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == K7_R3_TRIPLE
-    # one tick per 200000 colourings covered, settled subtrees included
-    assert err.count("\n") == canonical_count(7, 3) // 200000
+    # one tick per step of the walk that passes a multiple of 200000
+    # colourings, at the last multiple it passes
+    done = [int(line.split()[1]) for line in err.splitlines()]
+    assert len(done) == 307
+    assert done == sorted(set(done)) and all(d % 200000 == 0 for d in done)
+    assert done[-1] == canonical_count(7, 3) // 200000 * 200000
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_single_threaded_k8_exhaust_prints_few_progress_lines(capsys, mode):
+    # a settled subtree covers up to 10^11 colourings here; one line per
+    # 200000 of them would be 1.9 * 10^7 lines (3128 in the triple and
+    # component modes and 7818 in the double mode at one line per step)
+    assert main(["exhaust", "--n", "8", "--r", "3", "--mode", mode]) == 0
+    out, err = capsys.readouterr()
+    assert f"colourings_checked {canonical_count(8, 3)}\n" in out
+    assert len(err.splitlines()) <= 10000
 
 
 # A child that runs one CLI command and reports its exit code, the sha256 of
