@@ -19,7 +19,7 @@ from .colouring import (BoundEntry, ComponentWitness, EdgeColouring,
 from .errors import (BudgetExceededError, CertificateFormatError,
                      ColouringFormatError, TheoremViolation)
 from .explorer import SearchConfig, SearchOutcome, anneal
-from .generators import (affine_colouring, constant_colouring,
+from .generators import (_MAX_R, affine_colouring, constant_colouring,
                          projective_local_colouring, random_colouring)
 from .oracle import ExhaustReport, exhaustive_theorem_check
 from .prover import (certificate_from_json, certificate_to_json, prove_global,
@@ -270,6 +270,8 @@ def _format_exhaust(report: ExhaustReport) -> str:
 def _cmd_exhaust(args: argparse.Namespace) -> int:
     def progress(done: int) -> None:
         print(f"checked {done} colourings", file=sys.stderr)
+    if args.r > _MAX_R:  # under --prove every colouring's view keeps a row per colour
+        raise ValueError(f"r = {args.r} too large: at most r = {_MAX_R}")
     try:
         report = exhaustive_theorem_check(
             args.n, args.r, mode=args.mode, prove=args.prove,

@@ -57,6 +57,15 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+# _SMALL_BITS[mask]: the set bits of a mask below 256, ascending
+_SMALL_BITS = tuple(tuple(iter_bits(mask)) for mask in range(256))
+
+
+def bit_tuple(mask: int) -> tuple[int, ...]:
+    """tuple(iter_bits(mask)), read from a table when the mask is below 256."""
+    return _SMALL_BITS[mask] if mask < 256 else tuple(iter_bits(mask))
+
+
 class _lazy:
     """A value computed on its first read and stored in the instance's __dict__.
 
@@ -93,6 +102,11 @@ class EdgeColouring:
     n: int
     m: int
     colours: tuple[int, ...]
+
+    def __init__(self, n: int, m: int, colours: tuple[int, ...]) -> None:
+        # one dict update in place of a frozen setattr per field: exhaustive
+        # checks build a record per colouring
+        self.__dict__.update(n=n, m=m, colours=colours)
 
     def colour_of(self, i: int, j: int) -> int:
         return self.colours[edge_index(self.n, i, j)]
@@ -257,7 +271,17 @@ def colour_masks(n: int, m: int, colours) -> list[list[int]]:
 
 
 def _add_edges(masks: list[list[int]], n: int, colours) -> None:
-    """The per-edge loop: set both bits of every edge in its colour's rows."""
+    """The per-edge loop: set both bits of every edge in its colour's rows.
+
+    Below _MATRIX_MIN_N the ends of each edge and their bits come from a
+    table built once per n; larger n compute them as they go.
+    """
+    if n < _MATRIX_MIN_N:
+        for c, (i, j, bi, bj) in zip(colours, _edge_table(n)):
+            row = masks[c]
+            row[i] |= bj
+            row[j] |= bi
+        return
     k = 0
     for i in range(n - 1):
         one = 1 << i
@@ -266,6 +290,25 @@ def _add_edges(masks: list[list[int]], n: int, colours) -> None:
             row[i] |= 1 << j
             row[j] |= one
             k += 1
+
+
+# _EDGE_TABLES[n]: the table `_edge_table` built for n, only ever n < _MATRIX_MIN_N
+_EDGE_TABLES: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
+
+
+def _edge_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, j, 1 << i, 1 << j) for each edge {i, j} of K_n, in row-major order.
+
+    Built on first use and kept.  Only `_add_edges` asks for it, and only for
+    n < _MATRIX_MIN_N = 64, so the cache holds at most 64 tables of at most
+    C(63, 2) = 1953 entries; a table for every n up to the generators' cap
+    of 2000 would hold millions of tuples.
+    """
+    table = _EDGE_TABLES.get(n)
+    if table is None:
+        table = _EDGE_TABLES[n] = tuple((i, j, 1 << i, 1 << j)
+                                        for i in range(n - 1) for j in range(i + 1, n))
+    return table
 
 
 def _palette(n: int, m: int, used) -> list:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .colouring import EdgeColouring, colour_masks, iter_bits, proven_floor
 from .errors import TheoremViolation
-from .generators import _MAX_N
+from .generators import _MAX_N, _MAX_R
 from .oracle import _value_fn
 from .rng import SplitMix64
 # The three-argument max_*_order kernels are not called here; they stay
@@ -22,8 +22,6 @@ from .rng import SplitMix64
 from .stars import SINGLE_EDGE, _component_order, max_double_star_order, max_triple_star_order
 
 Q = Fraction
-
-_MAX_R = 2000  # like n: the colour masks hold r + 1 rows of n bits
 
 
 def objective(colouring: EdgeColouring, kind: str) -> int:

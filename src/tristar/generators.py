@@ -32,6 +32,9 @@ def _require_mult(mult: int) -> None:
 
 
 _MAX_N = 2000  # C(n,2) colour entries; beyond this the dense model stops being sensible
+# A search keeps a mask row per colour, and so does every colouring that an
+# exhaustive proof builds, so r is held to the same scale as n.
+_MAX_R = 2000
 
 
 def _require_size(n: int) -> None:

@@ -116,7 +116,7 @@ def canonical_count(n: int, r: int) -> int:
     length = n * (n - 1) // 2
     if length < 1 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    return _completion_counts(r, None)(length, 0)
+    return _completion_counts(min(r, length), None)(length, 0)
 
 
 def _completion_counts(r: int, cap: int | None) -> Callable[[int, int], int]:
@@ -127,6 +127,9 @@ def _completion_counts(r: int, cap: int | None) -> Callable[[int, int], int]:
     r*g(rem-1, r) at t = r.  Rows are built as they are asked for; g grows
     with t, so once a row's t = 0 entry reaches the cap every later row is
     the cap throughout and none is built, and no entry outgrows the cap.
+    A row holds r + 1 entries, so callers pass r no larger than the string
+    length: no string uses more labels than it has entries, so above that
+    r changes no count.
     """
     rows = [[1] * (r + 1)]  # rows[rem][t]
 
@@ -417,7 +420,7 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
     threshold = math.ceil(floor) if floor is not None else None
     length = n * (n - 1) // 2
     top = min(r, length)  # no restricted-growth string of this length uses more
-    completions = _completion_counts(r, None if budget is None else budget + 1)
+    completions = _completion_counts(top, None if budget is None else budget + 1)
     processed = 0
     best, stop = n + 1, n  # no order exceeds n, so a scan that stops at n is exact
     best_colours: tuple[int, ...] = ()

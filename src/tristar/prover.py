@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .colouring import (EdgeColouring, iter_bits, locality, subgraph_diameter,
+from .colouring import (EdgeColouring, bit_tuple, iter_bits, locality, subgraph_diameter,
                         triple_star_bound, triple_star_bound_local, validate)
 from .errors import CertificateFormatError, TheoremViolation
 from .stars import max_double_star
@@ -38,6 +38,11 @@ class ProofTrace:
     leaf_u: int | None  # None when U already met the bound
     delta: int
 
+    def __init__(self, centres_U: tuple[int, int], order_U: int, leaf_u: int | None,
+                 delta: int) -> None:
+        # one dict update in place of a frozen setattr per field: every proof builds one
+        self.__dict__.update(centres_U=centres_U, order_U=order_U, leaf_u=leaf_u, delta=delta)
+
 
 @dataclass(frozen=True)
 class TripleStarCertificate:
@@ -51,6 +56,13 @@ class TripleStarCertificate:
     order: int
     degenerate: bool
     trace: ProofTrace
+
+    def __init__(self, mode: str, n: int, r: int, bound: Q, colour: int,
+                 centres: tuple[int, ...], vertices: tuple[int, ...], order: int,
+                 degenerate: bool, trace: ProofTrace) -> None:
+        # one dict update in place of a frozen setattr per field: every proof builds one
+        self.__dict__.update(mode=mode, n=n, r=r, bound=bound, colour=colour, centres=centres,
+                             vertices=vertices, order=order, degenerate=degenerate, trace=trace)
 
     @property
     def slack(self) -> Q:
@@ -129,7 +141,7 @@ def _run(colouring: EdgeColouring, mode: str, r: int, bound: Q) -> TripleStarCer
     verts = masks[u] | union
     cert = TripleStarCertificate(mode, colouring.n, r, bound, c,
                                  (min(u, far), middle, max(u, far)),
-                                 tuple(iter_bits(verts)), verts.bit_count(), False,
+                                 bit_tuple(verts), verts.bit_count(), False,
                                  ProofTrace(trace_centres, ds.order, leaf, delta))
     return _guard(cert, colouring, target)
 

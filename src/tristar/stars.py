@@ -21,14 +21,22 @@ A scan also takes a `stop` order.  Below it the result is exact; once the
 best reaches it the scan returns at once, with the first candidate in scan
 order whose order is >= stop, which may fall short of the maximum.  An
 exhaustive check that only asks whether a colouring's maximum falls below
-the running minimum passes that minimum; every other caller passes n + 1,
-which no order reaches.  The largest-component scan takes the same `stop`.
+the running minimum passes that minimum.  The largest-component scan takes
+the same `stop`.
+
+No order exceeds n, so a scan that stops at n returns the maximum.  The
+double-star witness does stop there: its scan records only strict
+improvements, in tie-break order, so the first candidate of order n is the
+first maximum.  The triple-star witness passes n + 1, which no order
+reaches: a later path of equal order still wins its tie-break when its
+outer centre u is smaller, so the first path of order n need not be the
+witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import EdgeColouring, component_masks, iter_bits
+from .colouring import EdgeColouring, bit_tuple, component_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,11 @@ class DoubleStarWitness:
     centres: tuple[int, int]  # centre edge (x, y), x < y
     order: int
     vertices: tuple[int, ...]
+
+    def __init__(self, colour: int, centres: tuple[int, int], order: int,
+                 vertices: tuple[int, ...]) -> None:
+        # one dict update in place of a frozen setattr per field: every proof builds one
+        self.__dict__.update(colour=colour, centres=centres, order=order, vertices=vertices)
 
 
 @dataclass(frozen=True)
@@ -213,10 +226,10 @@ def max_double_star(colouring: EdgeColouring) -> DoubleStarWitness:
     Ties break to the smallest colour, then lexicographically smallest (x, y).
     """
     masks = colouring.view.masks
-    order, c, x, y = _double_scan(masks, colouring.n, colouring.m, colouring.n + 1)
+    order, c, x, y = _double_scan(masks, colouring.n, colouring.m, colouring.n)
     if not order:
         raise ValueError("colouring has no edges")
-    return DoubleStarWitness(c, (x, y), order, tuple(iter_bits(masks[c][x] | masks[c][y])))
+    return DoubleStarWitness(c, (x, y), order, bit_tuple(masks[c][x] | masks[c][y]))
 
 
 def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
@@ -231,7 +244,7 @@ def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
     if not order:
         return None
     row = colouring.view.masks[c]
-    return TripleStarWitness(c, (u, x, w), order, tuple(iter_bits(row[u] | row[x] | row[w])))
+    return TripleStarWitness(c, (u, x, w), order, bit_tuple(row[u] | row[x] | row[w]))
 
 
 def max_double_star_order(masks: list[list[int]], n: int, m: int) -> int:

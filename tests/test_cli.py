@@ -366,6 +366,16 @@ def test_exhaust_n_above_the_bound_exits_2(capsys):
     assert "too large" in err and "Traceback" not in err
 
 
+def test_exhaust_r_above_the_bound_exits_2(capsys):
+    # under --prove every colouring's view keeps a row per colour, so r is
+    # capped as the search caps it
+    code, out, err = run(capsys, ["exhaust", "--n", "3", "--r", "2001", "--mode", "triple"])
+    assert (code, out) == (2, "")
+    assert "r = 2001 too large" in err
+    code, out, _ = run(capsys, ["exhaust", "--n", "3", "--r", "2000", "--mode", "triple", "--prove"])
+    assert code == 0 and "certificates_verified 5\n" in out
+
+
 def test_search_reports_a_parseable_best(capsys):
     code, out, err = run(capsys, ["search", "--n", "4", "--r", "3",
                                   "--objective", "triple", "--iters", "120",
@@ -478,13 +488,14 @@ MALFORMED_INPUTS = [
     _analyze_text("4\n1 2 3 1 2 3\n"),
     _analyze_text("4 x\n1 2 3 1 2 3\n"),
     _analyze_text("3 1180591620717411303424\n1 1 1\n"),
+    lambda tmp_path: ["exhaust", "--n", "3", "--r", "99999999999", "--mode", "triple"],
 ]
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED_INPUTS,
                          ids=["nested-certificate", "5000-digit-certificate-integer",
                               "huge-search-r", "huge-gen-random-r", "one-value-header",
-                              "non-integer-header", "huge-header-m"])
+                              "non-integer-header", "huge-header-m", "huge-exhaust-r"])
 def test_malformed_input_exits_without_a_traceback(tmp_path, make_argv):
     src = str(Path(tristar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 import tristar.colouring as colouring_module
-from tristar.colouring import (EdgeColouring, colour_components, component_bound,
+from tristar.colouring import (EdgeColouring, colour_components, colour_masks, component_bound,
                                double_star_bound, double_star_bound_local,
                                edge_count, edge_index, format_colouring,
                                iter_bits, known_bounds, local_component_bound,
@@ -72,6 +72,38 @@ def test_view_masks_agree_with_colour_of():
                 col = c.colour_of(i, j)
                 for cc in range(1, m + 1):
                     assert bool((masks[cc][i] >> j) & 1) == (cc == col)
+
+
+def masks_from_colour_of(c: EdgeColouring) -> list[list[int]]:
+    """Every colour's adjacency masks, read pair by pair through colour_of."""
+    masks = [[0] * c.n for _ in range(c.m + 1)]
+    for x in range(c.n):
+        for v in range(c.n):
+            if v != x:
+                masks[c.colour_of(x, v)][x] |= 1 << v
+    return masks
+
+
+@pytest.mark.parametrize("n", [2, 5, 63, 64])
+def test_mask_builds_agree_with_colour_of_across_the_matrix_gate(n):
+    # below 64 vertices masks come from the per-n edge table; from 64 on,
+    # from the label matrix or the per-edge loop
+    assert colouring_module._MATRIX_MIN_N == 64
+    rng = random.Random(n)
+    for m in (1, 3, 7):
+        c = random_colours(rng, n, m)
+        want = masks_from_colour_of(c)
+        assert [list(row) for row in c.view.masks] == want
+        assert colour_masks(n, m, c.colours) == want
+
+
+def test_the_edge_table_cache_holds_only_small_n():
+    rng = random.Random(64)
+    for n in (5, 63, 64, 65, 300):
+        c = random_colours(rng, n, 3)
+        c.view.masks, colour_masks(n, 3, c.colours)
+    assert {5, 63} <= set(colouring_module._EDGE_TABLES)
+    assert max(colouring_module._EDGE_TABLES) < 64
 
 
 def test_degree_sums_count_each_edge_twice():

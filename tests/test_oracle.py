@@ -105,6 +105,45 @@ def test_brute_agrees_with_fast_finders_on_tie_heavy_colourings():
         assert_fast_finders_match_brute(c)
 
 
+def spanning_double_star(rng: random.Random, n: int, m: int) -> EdgeColouring:
+    """A random colouring in which some centre edge {x, y} of colour 1 reaches
+    every other vertex through x or y in colour 1."""
+    colours = [rng.randint(1, m) for _ in range(edge_count(n))]
+    x, y = sorted(rng.sample(range(n), 2))
+    colours[edge_index(n, x, y)] = 1
+    for v in range(n):
+        if v != x and v != y:
+            centre = rng.choice((x, y))
+            colours[edge_index(n, min(v, centre), max(v, centre))] = 1
+    return EdgeColouring(n, m, tuple(colours))
+
+
+def test_double_witness_that_spans_every_vertex_is_the_first_maximum():
+    # max_double_star returns the first centre edge whose double star has all
+    # n vertices; no later one can beat it, so it is the full scan's witness
+    cases = [c for r in (1, 2, 3, 4) for c in enumerate_colourings(EnumerationSpec(4, r))]
+    cases += enumerate_colourings(EnumerationSpec(5, 3))
+    rng = random.Random(1212)
+    cases += [spanning_double_star(rng, rng.randint(2, 12), rng.randint(1, 5))
+              for _ in range(300)]
+    spanning = 0
+    for c in cases:
+        slow, fast = brute_max_double_star(c), max_double_star(c)
+        assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
+               (fast.colour, fast.centres, fast.order, fast.vertices)
+        spanning += fast.order == c.n
+    assert spanning > len(cases) // 2
+
+
+def test_triple_witness_on_constant_colourings_keeps_the_smallest_outer_centre():
+    # every path of the one colour spans all n vertices; the first one the
+    # scan meets, 1 - 0 - 2, loses the tie-break to the later 0 - 1 - 2, so a
+    # triple scan stopped at order n would return the wrong witness
+    for n in range(3, 11):
+        witness = max_triple_star(constant_colouring(n, 3))
+        assert (witness.colour, witness.centres, witness.order) == (1, (0, 1, 2), n)
+
+
 def late_cap_tie() -> EdgeColouring:
     """Colour 1 is a tree A spanned by the path 2 - 0 - 3, every degree below 6,
     and a clique B of the same order 14 that holds vertex 1; every other
@@ -430,3 +469,11 @@ def test_exhaust_rejects_n_above_the_bound_before_allocating(monkeypatch):
             exhaustive_theorem_check(n, 3, budget=5)
     with pytest.raises(Reached):
         exhaustive_theorem_check(2000, 3, budget=5)
+
+
+def test_completion_counts_stay_small_for_a_huge_palette():
+    # no string of C(3, 2) = 3 edges uses more than three labels, so an r far
+    # above that changes no count and must cost no row of r integers
+    assert canonical_count(3, 99999999999) == canonical_count(3, 3) == 5
+    report = exhaustive_theorem_check(3, 99999999999, mode="triple", budget=5)
+    assert (report.colourings_checked, report.complete) == (5, True)
