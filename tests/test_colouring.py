@@ -100,8 +100,8 @@ def test_mask_builds_agree_with_colour_of_across_the_matrix_gate(n):
 def test_the_edge_table_cache_holds_only_small_n():
     rng = random.Random(64)
     for n in (5, 63, 64, 65, 300):
-        c = random_colours(rng, n, 3)
-        c.view.masks, colour_masks(n, 3, c.colours)
+        colour_masks(n, 3, random_colours(rng, n, 3).colours)
+        random_colours(rng, n, 3).view
     assert {5, 63} <= set(colouring_module._EDGE_TABLES)
     assert max(colouring_module._EDGE_TABLES) < 64
 
