@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 from .colouring import EdgeColouring, colour_masks, proven_floor
 from .errors import BudgetExceededError, TheoremViolation
-from .generators import _MAX_N
+from .generators import _MAX_N, _MAX_R
 from .prover import prove_global, verify_certificate
 # The three-argument max_*_order kernels are not called here; they stay
 # importable from this module because the benchmark's trace swaps them.
@@ -349,6 +349,8 @@ def exhaustive_theorem_check(n: int, r: int, mode: str = "triple", prove: bool =
                          f"at most n = {_MAX_N}")
     if prove and r < 3:
         raise ValueError("prove mode needs r >= 3")
+    if prove and r > _MAX_R:  # every proved colouring's view keeps a row per colour
+        raise ValueError(f"r = {r} too large: at most r = {_MAX_R} under prove")
     _value_fn(mode)  # validate mode early
     floor = proven_floor(n, r, mode)
     if threads < 1:

@@ -107,16 +107,16 @@ def _double_scan(masks: list[list[int]], n: int, m: int, stop: int) -> tuple[int
 
     Centre edges are scanned by colour, then lexicographically, which is the
     tie-break order, so only a strict improvement is recorded.  No double
-    star is larger than the largest component of its colour: once the best
-    exceeds _BOUND_DEGREE, a colour with no component larger than the best
-    is skipped, and a colour is left as soon as the best reaches its cap,
-    the order of its largest component, taken on the first improvement.
+    star is larger than the largest component of its colour, its cap.  A
+    colour met with the best above _BOUND_DEGREE takes its cap at once and is
+    skipped unless the cap is larger; any other colour takes it on its first
+    improvement above _BOUND_DEGREE.  A colour ends when the best reaches its cap.
     """
     best = best_c = best_x = best_y = 0
     for c in range(1, m + 1):
         row = masks[c]
-        cap = 0  # not taken yet
-        if best > _BOUND_DEGREE and not any(comp.bit_count() > best for comp in component_masks(row)):
+        cap = _largest_component(row) if best > _BOUND_DEGREE else 0  # 0: not taken yet
+        if cap <= best and best > _BOUND_DEGREE:
             continue
         for x in range(n - 1):
             mx = row[x]

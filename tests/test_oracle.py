@@ -471,6 +471,28 @@ def test_exhaust_rejects_n_above_the_bound_before_allocating(monkeypatch):
         exhaustive_theorem_check(2000, 3, budget=5)
 
 
+def test_exhaust_rejects_r_above_the_bound_under_prove_before_scanning(monkeypatch):
+    # every proved colouring builds a view with a row per colour, so a huge r
+    # under prove must be refused before any colouring is scanned; without
+    # prove the scan never needs such a row and r is left alone
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(oracle_module, "_scan_chunk", reached)
+    monkeypatch.setattr(oracle_module, "Pool", reached)
+    monkeypatch.setattr(oracle_module, "proven_floor", reached)
+    for r in (2001, 10 ** 7, 10 ** 18):
+        with pytest.raises(ValueError, match=f"r = {r} too large.*at most r = 2000"):
+            exhaustive_theorem_check(3, r, prove=True)
+    with pytest.raises(Reached):
+        exhaustive_theorem_check(3, 2000, prove=True)
+    with pytest.raises(Reached):
+        exhaustive_theorem_check(3, 10 ** 7)
+
+
 def test_completion_counts_stay_small_for_a_huge_palette():
     # no string of C(3, 2) = 3 edges uses more than three labels, so an r far
     # above that changes no count and must cost no row of r integers
