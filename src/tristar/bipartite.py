@@ -138,25 +138,13 @@ def max_double_star_bipartite(graph: BipartiteColouredGraph,
     if not ignore_colours and graph.m > 0 and any(any(row) for row in graph.layers[1:]):
         raise ValueError("graph carries colours; pass ignore_colours=True "
                          "or use max_mono_double_star_bipartite")
-    a_deg = [0] * graph.a_size
-    b_deg = [0] * graph.b_size
     joined = [0] * graph.a_size
-    for layer in graph.layers:
-        for a, row in enumerate(layer):
-            joined[a] |= row
-            a_deg[a] += row.bit_count()
-            for b in iter_bits(row):
-                b_deg[b] += 1
-    best = -1
-    best_a = best_b = 0
-    for a in range(graph.a_size):
-        for b in iter_bits(joined[a]):
-            value = a_deg[a] + b_deg[b]
-            if value > best:
-                best, best_a, best_b = value, a, b
-    if best < 0:
+    for layer in graph.layers:  # a pair carries one edge, so these are the total degrees
+        joined = list(map(int.__or__, joined, layer))
+    value, a, b = _best_centre_edge(joined, graph.b_size)
+    if value < 0:
         raise ValueError("graph has no edges")
-    return CentreEdge(best_a, best_b, best)
+    return CentreEdge(a, b, value)
 
 
 def max_mono_double_star_bipartite(graph: BipartiteColouredGraph,
@@ -179,23 +167,32 @@ def max_mono_double_star_bipartite(graph: BipartiteColouredGraph,
         seen = len(graph.colours_at_b(b))
         if seen > t:
             raise ValueError(f"colour limit exceeded at B-vertex {b}: meets {seen} colours, limit {t}")
-    best = -1
-    best_c = best_a = best_b = 0
-    for c in range(1, graph.m + 1):
-        layer = graph.layers[c]
-        b_deg = [0] * graph.b_size
-        for row in layer:
-            for b in iter_bits(row):
-                b_deg[b] += 1
-        for a, row in enumerate(layer):
-            da = row.bit_count()
-            for b in iter_bits(row):
-                value = da + b_deg[b]
-                if value > best:
-                    best, best_c, best_a, best_b = value, c, a, b
-    if best < 0:
+    # max keeps the first of equal values, so ties go to the smallest c
+    value, a, b, c = max((_best_centre_edge(graph.layers[c], graph.b_size) + (c,)
+                          for c in range(1, graph.m + 1)),
+                         key=lambda best: best[0], default=(-1, 0, 0, 0))
+    if value < 0:
         raise ValueError("graph has no edges")
-    return MonoCentreEdge(best_a, best_b, best_c, best)
+    return MonoCentreEdge(a, b, c, value)
+
+
+def _best_centre_edge(layer, b_size: int) -> tuple[int, int, int]:
+    """(d(a) + d(b), a, b) for the first edge of one layer in (a, b) order with the largest sum.
+
+    The value is -1 when the layer has no edges.
+    """
+    b_deg = [0] * b_size
+    for row in layer:
+        for b in iter_bits(row):
+            b_deg[b] += 1
+    best = (-1, 0, 0)
+    for a, row in enumerate(layer):
+        da = row.bit_count()
+        for b in iter_bits(row):
+            value = da + b_deg[b]
+            if value > best[0]:
+                best = (value, a, b)
+    return best
 
 
 @dataclass(frozen=True)

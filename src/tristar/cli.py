@@ -16,8 +16,7 @@ from pathlib import Path
 from .colouring import (BoundEntry, ComponentWitness, EdgeColouring,
                         colour_components, format_colouring, known_bounds,
                         locality, max_component, parse_colouring, validate)
-from .errors import (BudgetExceededError, CertificateFormatError,
-                     ColouringFormatError, TheoremViolation)
+from .errors import BudgetExceededError, ColouringFormatError, TheoremViolation
 from .explorer import SearchConfig, SearchOutcome, anneal
 from .generators import (_MAX_R, affine_colouring, constant_colouring,
                          projective_local_colouring, random_colouring)
@@ -192,20 +191,21 @@ def _load_colouring(path: str) -> EdgeColouring:
 
 # --- subcommands -------------------------------------------------------------
 
+# Per gen kind: its generator, the integer flags it takes in order, its help.
+_GEN_KINDS = {
+    "affine": (affine_colouring, ("q", "mult"), "affine-plane colouring (q prime)"),
+    "projective": (projective_local_colouring, ("q", "mult"),
+                   "projective-plane local colouring (q prime)"),
+    "random": (random_colouring, ("n", "r", "seed"), "uniform random colouring"),
+    "constant": (constant_colouring, ("n", "r"), "all edges colour 1"),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "affine":
-        colouring = affine_colouring(args.q, args.mult)
-        comment = f"affine q={args.q} mult={args.mult}"
-    elif args.kind == "projective":
-        colouring = projective_local_colouring(args.q, args.mult)
-        comment = f"projective q={args.q} mult={args.mult}"
-    elif args.kind == "random":
-        colouring = random_colouring(args.n, args.r, args.seed)
-        comment = f"random n={args.n} r={args.r} seed={args.seed}"
-    else:
-        colouring = constant_colouring(args.n, args.r)
-        comment = f"constant n={args.n} r={args.r}"
-    _write_text(args.out, format_colouring(colouring, (comment,)))
+    make, flags, _ = _GEN_KINDS[args.kind]
+    values = [getattr(args, flag) for flag in flags]
+    comment = " ".join([args.kind] + [f"{flag}={value}" for flag, value in zip(flags, values)])
+    _write_text(args.out, format_colouring(make(*values), (comment,)))
     return 0
 
 
@@ -325,21 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a colouring in the text format")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    affine = gen_sub.add_parser("affine", help="affine-plane colouring (q prime)")
-    affine.add_argument("--q", type=int, required=True)
-    affine.add_argument("--mult", type=int, required=True)
-    projective = gen_sub.add_parser("projective",
-                                    help="projective-plane local colouring (q prime)")
-    projective.add_argument("--q", type=int, required=True)
-    projective.add_argument("--mult", type=int, required=True)
-    rand = gen_sub.add_parser("random", help="uniform random colouring")
-    rand.add_argument("--n", type=int, required=True)
-    rand.add_argument("--r", type=int, required=True)
-    rand.add_argument("--seed", type=int, required=True)
-    const = gen_sub.add_parser("constant", help="all edges colour 1")
-    const.add_argument("--n", type=int, required=True)
-    const.add_argument("--r", type=int, required=True)
-    for p in (affine, projective, rand, const):
+    for kind, (_, flags, text) in _GEN_KINDS.items():
+        p = gen_sub.add_parser(kind, help=text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int, required=True)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
     gen.set_defaults(func=_cmd_gen)
 
@@ -398,18 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ColouringFormatError, CertificateFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         if exc.colouring is not None:
             sys.stdout.write(format_colouring(exc.colouring))
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -311,8 +311,17 @@ def _edge_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return table
 
 
+# A view keeps an n-entry row per colour in use: a rainbow K_n, a valid file
+# with C(n, 2) colours, would need about n^3 / 2 entries.  Past this many
+# the view is refused before any row is made (rainbow K_271 fits, K_272 not).
+_MAX_VIEW_ENTRIES = 10 ** 7
+
+
 def _palette(n: int, m: int, used) -> list:
     """Rows for the used colours; every other colour shares one read-only empty row."""
+    if len(used) * n > _MAX_VIEW_ENTRIES:
+        raise ValueError(f"{len(used)} colours in use on {n} vertices: the mask view would "
+                         f"hold {len(used) * n} entries, at most {_MAX_VIEW_ENTRIES}")
     empty = (0,) * n
     masks = [empty] * (m + 1)
     for c in used:

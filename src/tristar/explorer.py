@@ -299,8 +299,9 @@ class StarHistogram:
     that holds the toggled bit through another member keeps its order, and
     every other one shifts by exactly 1: down in old, up in new.  So move()
     scores each changed star once: the shifting stars of both colours and
-    old's edge stars before the flip, new's edge stars after it; undo()
-    replays the same delta in reverse.  The objective is the highest
+    old's edge stars before the flip, new's edge stars after it, into a
+    copy of count; undo() puts the saved count and top back and flips the
+    edge back.  The objective is the highest
     nonzero bin.  One permanent entry at SINGLE_EDGE stands for the
     single-edge value, so the top never falls below it.
     """
@@ -324,7 +325,7 @@ class StarHistogram:
 
     def move(self, i: int, j: int, old: int, new: int) -> int:
         """Recolour edge {i, j} from old to new; return the new top."""
-        masks, count = self.masks, self.count
+        masks, saved = self.masks, self.count
         shifting, edge = self._shifting, self._edge
         row = masks[old]
         down = shifting(row, i, j)
@@ -333,6 +334,7 @@ class StarHistogram:
         up = shifting(row, i, j)
         _recolour(masks, i, j, old, new)
         come = edge(row, i, j)
+        self.count = count = saved[:]
         for order in down:
             count[order] -= 1
             count[order - 1] += 1
@@ -343,7 +345,7 @@ class StarHistogram:
             count[order] -= 1
         for order in come:
             count[order] += 1
-        self._undo = (i, j, old, new, down, gone, up, come, self.top)
+        self._undo = (i, j, old, new, saved, self.top)
         top = max(self.top, max(come, default=0), max(up, default=-1) + 1)
         while not count[top]:
             top -= 1
@@ -351,17 +353,6 @@ class StarHistogram:
         return top
 
     def undo(self) -> None:
-        """Take back the last move: its mask flip and its histogram delta."""
-        i, j, old, new, down, gone, up, come, self.top = self._undo
+        """Take back the last move: its mask flip, and the count and top from before it."""
+        i, j, old, new, self.count, self.top = self._undo
         _recolour(self.masks, i, j, new, old)
-        count = self.count
-        for order in come:
-            count[order] -= 1
-        for order in gone:
-            count[order] += 1
-        for order in up:
-            count[order + 1] -= 1
-            count[order] += 1
-        for order in down:
-            count[order - 1] -= 1
-            count[order] += 1

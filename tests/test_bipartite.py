@@ -228,3 +228,88 @@ def test_random_bipartite_is_deterministic():
 def test_random_local_bipartite_rejects_bad_palettes():
     with pytest.raises(ValueError, match="palette sizes"):
         random_local_bipartite(3, 3, 2, 3, 1, 1, 2, seed=1)
+
+
+# --- both scans against a brute scan in key order ----------------------------
+
+def brute_plain(g: BipartiteColouredGraph) -> tuple[int, int, int]:
+    """(value, a, b): the first edge in (a, b) order with the largest d(a) + d(b)."""
+    best = (-1, 0, 0)
+    for a in range(g.a_size):
+        for b in range(g.b_size):
+            if any(layer[a] >> b & 1 for layer in g.layers):
+                value = g.degree_a(a) + g.degree_b(b)
+                if value > best[0]:
+                    best = (value, a, b)
+    return best
+
+
+def brute_mono(g: BipartiteColouredGraph) -> tuple[int, int, int, int]:
+    """(value, c, a, b): the first colour-c edge in (c, a, b) order with the largest d_c(a) + d_c(b)."""
+    best = (-1, 0, 0, 0)
+    for c in range(1, g.m + 1):
+        for a in range(g.a_size):
+            for b in range(g.b_size):
+                if g.layers[c][a] >> b & 1:
+                    value = g.colour_degree_a(c, a) + g.colour_degree_b(c, b)
+                    if value > best[0]:
+                        best = (value, c, a, b)
+    return best
+
+
+def assert_scans_match_brute(g: BipartiteColouredGraph) -> None:
+    centre = max_double_star_bipartite(g)
+    assert (centre.value, centre.a, centre.b) == brute_plain(g)
+    if g.m and not g.has_uncoloured():
+        mono = max_mono_double_star_bipartite(g, g.m, g.m)
+        assert (mono.value, mono.colour, mono.a, mono.b) == brute_mono(g)
+
+
+def test_both_scans_match_a_brute_scan_on_random_graphs():
+    rng = random.Random(1515)
+    for _ in range(400):
+        a, b, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        uncoloured = rng.random() < 0.3  # layer 0 edges: only the plain scan runs
+        density = rng.random()
+        triples = [(x, y, rng.randint(0 if uncoloured else 1, m) if m else 0)
+                   for x in range(a) for y in range(b) if rng.random() < density]
+        if not triples:
+            continue
+        assert_scans_match_brute(BipartiteColouredGraph.from_coloured_edges(a, b, m, triples))
+
+
+def test_both_scans_break_ties_in_key_order():
+    # a later colour's edge comes first in (a, b) order: the plain scan takes
+    # it, the monochromatic scan takes the first colour
+    g = BipartiteColouredGraph.from_coloured_edges(2, 2, 2, [(0, 0, 2), (1, 1, 1)])
+    assert_scans_match_brute(g)
+    assert (max_double_star_bipartite(g).a, max_double_star_bipartite(g).b) == (0, 0)
+    mono = max_mono_double_star_bipartite(g, 2, 2)
+    assert (mono.colour, mono.a, mono.b, mono.value) == (1, 1, 1, 2)
+    # every edge of K_{3,3} ties; the smallest key wins in both scans
+    g = BipartiteColouredGraph.from_coloured_edges(
+        3, 3, 3, [(x, y, (x + y) % 3 + 1) for x in range(3) for y in range(3)])
+    assert_scans_match_brute(g)
+    centre = max_double_star_bipartite(g)
+    assert (centre.value, centre.a, centre.b) == (6, 0, 0)
+    mono = max_mono_double_star_bipartite(g, 3, 3)
+    assert (mono.value, mono.colour, mono.a, mono.b) == (2, 1, 0, 0)
+    # two equal stars at a = 0 and a = 1: the edge at the smaller b of a = 0 wins
+    g = BipartiteColouredGraph.from_coloured_edges(
+        2, 4, 2, [(0, 2, 1), (0, 3, 1), (1, 0, 2), (1, 1, 2)])
+    assert_scans_match_brute(g)
+    centre = max_double_star_bipartite(g)
+    assert (centre.value, centre.a, centre.b) == (3, 0, 2)
+    mono = max_mono_double_star_bipartite(g, 2, 2)
+    assert (mono.value, mono.colour, mono.a, mono.b) == (3, 1, 0, 2)
+    # an uncoloured edge counts towards the plain degrees
+    g = BipartiteColouredGraph.from_coloured_edges(2, 2, 1, [(0, 1, 0), (1, 0, 1), (1, 1, 1)])
+    assert_scans_match_brute(g)
+    centre = max_double_star_bipartite(g)
+    assert (centre.value, centre.a, centre.b) == (4, 1, 1)
+
+
+def test_mono_scan_without_edges_raises():
+    g = BipartiteColouredGraph.from_coloured_edges(2, 2, 2, [])
+    with pytest.raises(ValueError, match="no edges"):
+        max_mono_double_star_bipartite(g, 1, 1)

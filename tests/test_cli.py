@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,35 @@ def test_gen_kinds_to_files(tmp_path, capsys):
         text = path.read_text()
         assert text.splitlines()[0] == header
         parse_colouring(text)  # must round-trip
+
+
+# each gen kind's flags in the order its --help lists them, with valid values
+GEN_ARGS = {
+    "affine": ["--q", "2", "--mult", "2"],
+    "projective": ["--q", "2", "--mult", "1"],
+    "random": ["--n", "6", "--r", "3", "--seed", "9"],
+    "constant": ["--n", "5", "--r", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", list(GEN_ARGS))
+def test_gen_without_any_one_flag_exits_2(capsys, kind):
+    argv = GEN_ARGS[kind]
+    assert run(capsys, ["gen", kind, *argv])[0] == 0
+    for k in range(0, len(argv), 2):
+        code, out, err = run(capsys, ["gen", kind, *argv[:k], *argv[k + 2:]])
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: the following arguments are required: {argv[k]}\n")
+
+
+@pytest.mark.parametrize("kind", list(GEN_ARGS))
+def test_gen_help_lists_exactly_its_flags(capsys, kind):
+    code, out, _ = run(capsys, ["gen", kind, "--help"])
+    assert code == 0
+    usage, options = out.split("\n\n")[:2]
+    flags = GEN_ARGS[kind][::2] + ["--out"]
+    assert re.findall(r"--\w+", usage) == flags
+    assert re.findall(r"--\w+", options) == ["--help"] + flags
 
 
 def test_gen_rejects_composite_order(capsys):
@@ -456,6 +486,22 @@ def test_search_with_a_huge_palette_exits_2_at_once(capsys):
                                   "triple", "--iters", "10", "--seed", "1"])
     assert code == 2 and out == ""
     assert "too large" in err
+
+
+def test_analyze_refuses_a_view_past_the_entry_cap(tmp_path):
+    # a rainbow K_272 is valid, but its view would hold 36856 * 272 > 10^7 entries
+    n = 272
+    path = tmp_path / "rainbow.txt"
+    path.write_text(f"{n} {n * (n - 1) // 2}\n"
+                    + " ".join(map(str, range(1, n * (n - 1) // 2 + 1))) + "\n")
+    src = str(Path(tristar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "tristar", "analyze", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: 36856 colours in use on 272 vertices")
+    assert "Traceback" not in done.stderr
 
 
 # --- malformed input ends in an exit code, never a traceback ----------------

@@ -246,3 +246,20 @@ def test_labels_at_either_end_of_a_row_are_found():
     want = reference_masks(n, m, c.colours)
     for colour, row in want.items():
         assert c.view.masks[colour] == row
+
+
+def test_a_view_past_the_entry_cap_is_refused_before_it_is_built(mask_path, monkeypatch):
+    n = 6
+    used = edge_count(n)
+    rainbow = EdgeColouring(n, used + 5, tuple(range(1, used + 1)))
+    monkeypatch.setattr(colouring_module, "_MAX_VIEW_ENTRIES", used * n)
+    masks = fresh(rainbow).view.masks
+    assert len(masks) == used + 6 and masks[1][0] == 0b10
+    monkeypatch.setattr(colouring_module, "_MAX_VIEW_ENTRIES", used * n - 1)
+    probe = fresh(rainbow)
+    with pytest.raises(ValueError, match=f"{used} colours in use on {n} vertices: "
+                                         f"the mask view would hold {used * n} entries"):
+        probe.view
+    assert "view" not in probe.__dict__
+    # only the colours in use count, not the header m
+    assert fresh(EdgeColouring(n, 10**6, (1,) * used)).view.masks[1][0] == 0b111110
