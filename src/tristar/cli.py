@@ -135,9 +135,7 @@ def build_analysis(colouring: EdgeColouring, include_triple: bool = True) -> Ana
     to C(d, 2) paths per middle of colour degree d, fewer where its bounds
     skip them); triple rows then carry status "skipped".
     """
-    report = validate(colouring)
-    if not report.ok:
-        raise ValueError("invalid colouring: " + "; ".join(report.violations))
+    validate(colouring).require()
     components = tuple(
         (c, tuple(len(comp) for comp in colour_components(colouring, c)))
         for c in range(1, colouring.m + 1))
@@ -183,9 +181,7 @@ def _write_text(path: str, text: str) -> None:
 def _load_colouring(path: str) -> EdgeColouring:
     """Parse and validate, so every command sees a usable colouring or exits 2."""
     colouring = parse_colouring(_read_text(path))
-    report = validate(colouring)
-    if not report.ok:
-        raise ColouringFormatError("invalid colouring: " + "; ".join(report.violations))
+    validate(colouring).require()
     return colouring
 
 

@@ -260,28 +260,20 @@ class LabelMatrix:
         return rows
 
 
-def colour_masks(n: int, m: int, colours) -> list[list[int]]:
-    """masks[c][x] has bit v set iff edge {x, v} has colour c; row 0 stays empty.
+def colour_masks(n: int, m: int, colours, used=None) -> list:
+    """masks[c][x] has bit v set iff edge {x, v} has colour c: the one per-edge loop.
 
-    Every colour gets a row of its own, so callers may edit the masks.
+    Rows come from `_palette`: with `used` None every colour, row 0 included,
+    gets one the walk and the annealer may edit.  Below _MATRIX_MIN_N each
+    edge's ends and bits come from a per-n table; larger n compute them.
     """
-    masks = [[0] * n for _ in range(m + 1)]
-    _add_edges(masks, n, colours)
-    return masks
-
-
-def _add_edges(masks: list[list[int]], n: int, colours) -> None:
-    """The per-edge loop: set both bits of every edge in its colour's rows.
-
-    Below _MATRIX_MIN_N the ends of each edge and their bits come from a
-    table built once per n; larger n compute them as they go.
-    """
+    masks = _palette(n, m, used)
     if n < _MATRIX_MIN_N:
         for c, (i, j, bi, bj) in zip(colours, _edge_table(n)):
             row = masks[c]
             row[i] |= bj
             row[j] |= bi
-        return
+        return masks
     k = 0
     for i in range(n - 1):
         one = 1 << i
@@ -290,6 +282,7 @@ def _add_edges(masks: list[list[int]], n: int, colours) -> None:
             row[i] |= 1 << j
             row[j] |= one
             k += 1
+    return masks
 
 
 # _EDGE_TABLES[n]: the table `_edge_table` built for n, only ever n < _MATRIX_MIN_N
@@ -299,10 +292,10 @@ _EDGE_TABLES: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 def _edge_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """(i, j, 1 << i, 1 << j) for each edge {i, j} of K_n, in row-major order.
 
-    Built on first use and kept.  Only `_add_edges` asks for it, and only for
-    n < _MATRIX_MIN_N = 64, so the cache holds at most 64 tables of at most
-    C(63, 2) = 1953 entries; a table for every n up to the generators' cap
-    of 2000 would hold millions of tuples.
+    Built on first use and kept.  Only `colour_masks` asks for it, and only
+    for n < _MATRIX_MIN_N = 64, so the cache holds at most 64 tables of at
+    most C(63, 2) = 1953 entries; a table for every n up to the generators'
+    cap of 2000 would hold millions of tuples.
     """
     table = _EDGE_TABLES.get(n)
     if table is None:
@@ -311,14 +304,17 @@ def _edge_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return table
 
 
-# A view keeps an n-entry row per colour in use: a rainbow K_n, a valid file
-# with C(n, 2) colours, would need about n^3 / 2 entries.  Past this many
-# the view is refused before any row is made (rainbow K_271 fits, K_272 not).
+# Masks keep an n-entry row per colour given one: a rainbow K_n, a valid file
+# with C(n, 2) colours, would need about n^3 / 2 entries.  Past this many the
+# masks are refused before any row is made (rainbow K_271 fits, K_272 not).
 _MAX_VIEW_ENTRIES = 10 ** 7
 
 
 def _palette(n: int, m: int, used) -> list:
-    """Rows for the used colours; every other colour shares one read-only empty row."""
+    """The one row allocation: a row for each colour in `used` (None: every
+    colour and row 0); the others share one read-only empty row."""
+    if used is None:
+        used = range(m + 1)
     if len(used) * n > _MAX_VIEW_ENTRIES:
         raise ValueError(f"{len(used)} colours in use on {n} vertices: the mask view would "
                          f"hold {len(used) * n} entries, at most {_MAX_VIEW_ENTRIES}")
@@ -346,11 +342,11 @@ def _matrix_masks(colouring: EdgeColouring) -> list:
     labels = colouring.labels
     n, width = labels.n, len(labels.planes)
     row_labels = labels.row_labels
-    masks = _palette(n, colouring.m, set().union(*row_labels))
+    used = set().union(*row_labels)
     translates = sum(_conversions(hues, width) for hues in row_labels)
     if translates * (_ROW_COST + n) >= _EDGE_COST * n * n:
-        _add_edges(masks, n, colouring.colours)
-        return masks
+        return colour_masks(n, colouring.m, colouring.colours, used)
+    masks = _palette(n, colouring.m, used)
     for i, hues in enumerate(row_labels):
         rows = labels.rows(i)
         digit_masks = [{} for _ in rows]  # one translate per distinct digit
@@ -370,17 +366,15 @@ class ColourClassView:
     """Per-colour adjacency bit masks: bit v of masks[c][x] is set iff {x,v} has colour c.
 
     Only colours that occur get rows of their own; the others share one
-    read-only empty row.
+    read-only empty row.  Below _MATRIX_MIN_N `colour_masks` builds them,
+    above it the label matrix, unless `colour_masks` costs less.
     """
 
     def __init__(self, colouring: EdgeColouring):
         self.n = n = colouring.n
         self.m = m = colouring.m
-        if n >= _MATRIX_MIN_N:
-            self.masks = _matrix_masks(colouring)
-        else:
-            self.masks = _palette(n, m, set(colouring.colours))
-            _add_edges(self.masks, n, colouring.colours)
+        self.masks = (_matrix_masks(colouring) if n >= _MATRIX_MIN_N
+                      else colour_masks(n, m, colouring.colours, set(colouring.colours)))
 
 
 @dataclass(frozen=True)
@@ -390,6 +384,15 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @staticmethod
+    def refusal(violation: str) -> str:
+        return f"invalid colouring: {violation}"
+
+    def require(self) -> None:
+        """Raise the one refusal of an invalid colouring, naming every violation."""
+        if self.violations:
+            raise ValueError(self.refusal("; ".join(self.violations)))
 
 
 def validate(colouring: EdgeColouring) -> ValidationReport:

@@ -23,9 +23,11 @@ from .rng import SplitMix64
 
 
 def _require_plane(q: int, mult: int, points: int) -> None:
-    """A prime order q, then mult >= 1, then mult * points within the size cap."""
+    """q >= 2, then `points` within the size cap (so q >= 45 is never
+    factored), then a prime q, mult >= 1 and mult * points within the cap."""
     if q < 2:
         raise ValueError(f"plane order must be a prime >= 2, got {q}")
+    _require_size(points)
     d = 2
     while d * d <= q:
         if q % d == 0:

@@ -76,7 +76,7 @@ def prove_global(colouring: EdgeColouring, r: int) -> TripleStarCertificate:
         raise ValueError("theorem requires r >= 3")
     if colouring.m != r:
         raise ValueError(f"colouring declares {colouring.m} colours, but r={r} was claimed")
-    _require_valid(colouring)
+    validate(colouring).require()
     return _run(colouring, "global", r, triple_star_bound(colouring.n, r))
 
 
@@ -84,18 +84,12 @@ def prove_local(colouring: EdgeColouring, r: int) -> TripleStarCertificate:
     """Certified monochromatic triple star of order >= rn/(r^2-r+1) under locality r."""
     if r < 3:
         raise ValueError("theorem requires r >= 3")
-    _require_valid(colouring)
+    validate(colouring).require()
     report = locality(colouring)
     if report.locality > r:
         v = report.worst_vertex()
         raise ValueError(f"locality violated: vertex {v} meets {report.locality} colours, above r={r}")
     return _run(colouring, "local", r, triple_star_bound_local(colouring.n, r))
-
-
-def _require_valid(colouring: EdgeColouring) -> None:
-    report = validate(colouring)
-    if not report.ok:
-        raise ValueError("invalid colouring: " + "; ".join(report.violations))
 
 
 def _run(colouring: EdgeColouring, mode: str, r: int, bound: Q) -> TripleStarCertificate:
@@ -175,9 +169,9 @@ def verify_certificate(colouring: EdgeColouring, cert: TripleStarCertificate) ->
     Dependent checks are skipped once their prerequisites fail, so the
     report never indexes out of range.
     """
-    invalid = validate(colouring).violations
-    if invalid:
-        return VerificationReport(tuple(f"invalid colouring: {v}" for v in invalid))
+    valid = validate(colouring)
+    if not valid.ok:
+        return VerificationReport(tuple(map(valid.refusal, valid.violations)))
     failures: list[str] = []
     mode, n, r, colour = cert.mode, cert.n, cert.r, cert.colour
     if mode not in ("global", "local"):

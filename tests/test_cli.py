@@ -87,6 +87,23 @@ def test_gen_rejects_composite_order(capsys):
     assert "must be prime" in err
 
 
+def _module_env() -> dict[str, str]:
+    """The environment for `python -m tristar` run on this checkout's sources."""
+    src = str(Path(tristar.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("kind", ["affine", "projective"])
+def test_gen_refuses_a_huge_prime_order_without_factoring_it(kind):
+    # 2^61 - 1 is prime: trial division up to its square root takes minutes
+    done = subprocess.run([sys.executable, "-m", "tristar", "gen", kind,
+                           "--q", str(2 ** 61 - 1), "--mult", "1"],
+                          capture_output=True, text=True, env=_module_env(), timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "too large" in done.stderr and "Traceback" not in done.stderr
+
+
 # --- analyze -----------------------------------------------------------------
 
 def test_gen_analyze_pipeline(capsys, monkeypatch):
@@ -192,6 +209,22 @@ def test_analyze_out_of_range_colour_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", str(path)])
     assert code == 2
     assert "invalid colouring" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{bad}"], ["analyze", "--json", "{bad}"],
+                                  ["prove", "{bad}", "--cert", "-"],
+                                  ["prove", "--local", "--r", "3", "{bad}", "--cert", "-"],
+                                  ["verify", "--cert", "{cert}", "{bad}"]],
+                         ids=["analyze", "analyze-json", "prove", "prove-local", "verify"])
+def test_every_command_refuses_an_invalid_colouring_with_the_same_bytes(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4 3\n9 1 2\n7 1\n3\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(certificate_to_json(prove_global(affine_colouring(2, 1), 3)))
+    code, out, err = run(capsys, [a.format(bad=bad, cert=cert) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid colouring: label out of range at edge position 0: 9; "
+                   "label out of range at edge position 3: 7\n")
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
@@ -404,6 +437,16 @@ def test_exhaust_r_above_the_bound_exits_2(capsys):
     assert "r = 2001 too large" in err
     code, out, _ = run(capsys, ["exhaust", "--n", "3", "--r", "2000", "--mode", "triple", "--prove"])
     assert code == 0 and "certificates_verified 5\n" in out
+
+
+def test_exhaust_at_both_size_caps_still_runs(capsys):
+    # the walk's masks hold 2001 rows of 2000 entries, under the 10^7-entry cap
+    code, out, err = run(capsys, ["exhaust", "--n", "2000", "--r", "2000",
+                                  "--mode", "component", "--budget", "1"])
+    assert code == 1
+    assert "budget exhausted after 1 colourings; report is partial" in err
+    assert out.startswith("exhaust report\nn 2000\nr 2000\nmode component\n"
+                          "complete no\ncolourings_checked 1\n")
 
 
 def test_search_reports_a_parseable_best(capsys):

@@ -97,6 +97,24 @@ def test_mask_builds_agree_with_colour_of_across_the_matrix_gate(n):
         assert colour_masks(n, m, c.colours) == want
 
 
+def test_colour_masks_rows_fall_under_the_view_cap(monkeypatch):
+    # with no colours named, every colour and row 0 get an editable row of
+    # their own, and all of them count against the one entry cap
+    n, m = 6, 4
+    c = random_colours(random.Random(6), n, m)
+    monkeypatch.setattr(colouring_module, "_MAX_VIEW_ENTRIES", (m + 1) * n)
+    masks = colour_masks(n, m, c.colours)
+    assert masks == masks_from_colour_of(c) and masks[0] == [0] * n
+    monkeypatch.setattr(colouring_module, "_MAX_VIEW_ENTRIES", (m + 1) * n - 1)
+    with pytest.raises(ValueError, match=f"{m + 1} colours in use on {n} vertices: "
+                                         f"the mask view would hold {(m + 1) * n} entries"):
+        colour_masks(n, m, c.colours)
+    # the colours named get rows, the rest share one read-only empty row
+    masks = colour_masks(n, m, (1,) * edge_count(n), {1})
+    assert masks[1] == masks_from_colour_of(EdgeColouring(n, m, (1,) * edge_count(n)))[1]
+    assert masks[0] is masks[2] == (0,) * n
+
+
 def test_the_edge_table_cache_holds_only_small_n():
     rng = random.Random(64)
     for n in (5, 63, 64, 65, 300):

@@ -67,6 +67,22 @@ def test_affine_rejects_bad_parameters():
         affine_colouring(47, 1)  # 47^2 = 2209 vertices, over the dense-model cap
 
 
+def test_a_plane_past_the_size_cap_is_refused_before_its_order_is_factored():
+    # q = 45 is the first order whose plane has more than 2000 points in both
+    # families; below it every message stays the one the order earns
+    for build in (affine_colouring, projective_local_colouring):
+        with pytest.raises(ValueError, match="refusing to materialise"):
+            build(45, 1)
+        with pytest.raises(ValueError, match="refusing to materialise"):
+            build(45, 0)
+        with pytest.raises(ValueError, match="must be prime, got 44 = 2 \\* 22"):
+            build(44, 1)
+        with pytest.raises(ValueError, match="mult must be >= 1"):
+            build(43, 0)
+        with pytest.raises(ValueError, match="refusing to materialise"):
+            build(43, 2)
+
+
 # --- projective --------------------------------------------------------------
 
 def test_projective_points_are_distinct_normalised():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as Q
 from itertools import islice, zip_longest
 
@@ -491,6 +492,20 @@ def test_exhaust_rejects_r_above_the_bound_under_prove_before_scanning(monkeypat
         exhaustive_theorem_check(3, 2000, prove=True)
     with pytest.raises(Reached):
         exhaustive_theorem_check(3, 10 ** 7)
+
+
+def test_the_walk_masks_are_refused_past_the_view_cap_before_they_are_built():
+    # the walk keeps an n-entry row for each of min(r, C(n, 2)) colours and
+    # row 0: 20001 rows of 1000 entries are past the 10^7-entry cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="20001 colours in use on 1000 vertices: "
+                                             "the mask view would hold 20001000 entries"):
+            exhaustive_theorem_check(1000, 20000, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20  # the rows alone would take 160 MB
 
 
 def test_completion_counts_stay_small_for_a_huge_palette():
