@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import EdgeColouring, iter_bits
+from .colouring import EdgeColouring, _palette, iter_bits
 from .rng import SplitMix64
 from .stars import DoubleStarWitness
 
@@ -50,7 +50,7 @@ class BipartiteColouredGraph:
     def from_coloured_edges(a_size: int, b_size: int, m: int, triples) -> "BipartiteColouredGraph":
         if a_size < 1 or b_size < 1:
             raise ValueError("both sides must be nonempty")
-        layers = [[0] * a_size for _ in range(m + 1)]
+        layers = _palette(a_size, m, None)  # refused past the mask entry cap before any row
         taken = [0] * a_size
         for a, b, c in triples:
             if not (0 <= a < a_size and 0 <= b < b_size):

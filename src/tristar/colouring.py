@@ -111,6 +111,19 @@ class EdgeColouring:
     def colour_of(self, i: int, j: int) -> int:
         return self.colours[edge_index(self.n, i, j)]
 
+    @classmethod
+    def on_masks(cls, n: int, m: int, colours: tuple[int, ...], masks: list) -> "EdgeColouring":
+        """The colouring whose view reads `masks`, the colours' masks as
+        `colour_masks` builds them, for colours 0..k with k <= m; the rows
+        above k read as one shared empty row.
+
+        Nothing is built or checked: the view shares the caller's rows, so it
+        holds only while they still hold these colours.
+        """
+        colouring = cls(n, m, colours)
+        colouring.__dict__["view"] = _MaskView(n, m, masks)
+        return colouring
+
     @_lazy
     def view(self) -> "ColourClassView":
         return ColourClassView(self)
@@ -264,7 +277,8 @@ def colour_masks(n: int, m: int, colours, used=None) -> list:
     """masks[c][x] has bit v set iff edge {x, v} has colour c: the one per-edge loop.
 
     Rows come from `_palette`: with `used` None every colour, row 0 included,
-    gets one the walk and the annealer may edit.  Below _MATRIX_MIN_N each
+    gets one the walk and the annealer may edit.  `colours` is read once, in
+    edge order, so any iterable of labels serves.  Below _MATRIX_MIN_N each
     edge's ends and bits come from a per-n table; larger n compute them.
     """
     masks = _palette(n, m, used)
@@ -274,14 +288,13 @@ def colour_masks(n: int, m: int, colours, used=None) -> list:
             row[i] |= bj
             row[j] |= bi
         return masks
-    k = 0
+    labels = iter(colours)
     for i in range(n - 1):
         one = 1 << i
-        for j in range(i + 1, n):
-            row = masks[colours[k]]
+        for j, c in zip(range(i + 1, n), labels):
+            row = masks[c]
             row[i] |= 1 << j
             row[j] |= one
-            k += 1
     return masks
 
 
@@ -375,6 +388,14 @@ class ColourClassView:
         self.m = m = colouring.m
         self.masks = (_matrix_masks(colouring) if n >= _MATRIX_MIN_N
                       else colour_masks(n, m, colouring.colours, set(colouring.colours)))
+
+
+class _MaskView(ColourClassView):
+    """A view on masks built elsewhere: `EdgeColouring.on_masks` makes one."""
+
+    def __init__(self, n: int, m: int, masks: list):
+        self.n, self.m = n, m
+        self.masks = masks if len(masks) > m else masks + [(0,) * n] * (m + 1 - len(masks))
 
 
 @dataclass(frozen=True)

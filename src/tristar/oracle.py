@@ -17,12 +17,13 @@ order-only scan stops as soon as its best reaches that stop: a value below
 it is exact.  The walk over the strings settles whole subtrees the same
 way: adding an edge to a colour never lowers a star or component order, so
 once a prefix's partial colouring reaches the stop, every completion does
-too, and the subtree is counted in closed form, or only proved and
-verified under --prove.  The cuts change how much of each colouring is
-looked at, never which colourings are covered, so the quotient stays
-sound and every report is the one a full scan of each colouring gives.
-The colour masks are kept live along the walk, which pushes and pops one
-edge's bits at a time.
+too, and the subtree is counted in closed form.  Under --prove the walk
+still enters it and proves and verifies each colouring in it, with no
+value scan.  The cuts change how much of each colouring is looked at,
+never which colourings are covered, so the quotient stays sound and every
+report is the one a full scan of each colouring gives.  The colour masks
+are kept live along the walk, which pushes and pops one edge's bits at a
+time, and every proof reads them: no colouring's masks are built twice.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
@@ -124,17 +125,20 @@ def _completion_counts(r: int, cap: int | None) -> Callable[[int, int], int]:
     r labels by rem more, held at `cap` at most when one is given.
 
     g(0, t) = 1, g(rem, t) = t*g(rem-1, t) + g(rem-1, t+1) for t < r and
-    r*g(rem-1, r) at t = r.  Rows are built as they are asked for; g grows
-    with t, so once a row's t = 0 entry reaches the cap every later row is
-    the cap throughout and none is built, and no entry outgrows the cap.
-    A row holds r + 1 entries, so callers pass r no larger than the string
-    length: no string uses more labels than it has entries, so above that
-    r changes no count.
+    r*g(rem-1, r) at t = r.  Rows are built as they are asked for, the
+    first one too; g grows with t, so once a row's t = 0 entry reaches the
+    cap every later row is the cap throughout and none is built, and no
+    entry outgrows the cap.  A row holds r + 1 entries, so callers pass r
+    no larger than the string length: no string uses more labels than it
+    has entries, so above that r changes no count.
     """
-    rows = [[1] * (r + 1)]  # rows[rem][t]
+    rows: list[list[int]] = []  # rows[rem][t]
 
     def count(rem: int, t: int) -> int:
         while len(rows) <= rem:
+            if not rows:
+                rows.append([1] * (r + 1))
+                continue
             last = rows[-1]
             if cap is not None and last[0] >= cap:
                 return cap
@@ -144,10 +148,9 @@ def _completion_counts(r: int, cap: int | None) -> Callable[[int, int], int]:
     return count
 
 
-def _first_string(length: int, r: int,
-                  prefix: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The first restricted-growth string extending `prefix`, 1 after it, and
-    tops, where tops[k] is the number of labels its first k entries use."""
+def _prefix_tops(length: int, r: int, prefix: tuple[int, ...]) -> list[int]:
+    """tops[k], the number of labels the first k entries of `prefix` use, for
+    k up to len(prefix); a prefix that no string of `length` extends is refused."""
     if length < 1 or r < 1:
         raise ValueError("need length >= 1 and r >= 1")
     if len(prefix) > length:
@@ -157,9 +160,15 @@ def _first_string(length: int, r: int,
         if not 1 <= v <= min(r, tops[i] + 1):
             raise ValueError(f"prefix not restricted-growth at position {i}: {v}")
         tops.append(max(tops[i], v))
+    return tops
+
+
+def _first_string(length: int, prefix: tuple[int, ...],
+                  tops: list[int]) -> tuple[list[int], list[int]]:
+    """The first restricted-growth string extending `prefix`, 1 after it, and
+    its tops, extending the prefix's own from `_prefix_tops`."""
     rest = length - len(prefix)
-    tops += [max(tops[-1], 1)] * rest
-    return list(prefix) + [1] * rest, tops
+    return list(prefix) + [1] * rest, tops + [max(tops[-1], 1)] * rest
 
 
 def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[list[int]]:
@@ -168,7 +177,7 @@ def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[lis
     Yields one reused buffer in lexicographic order; callers must copy
     anything they keep.
     """
-    a, top = _first_string(length, r, prefix)
+    a, top = _first_string(length, prefix, _prefix_tops(length, r, prefix))
     start = len(prefix)
     while True:
         yield a
@@ -199,15 +208,20 @@ def _walk(n: int, r: int, prefix: tuple[int, ...],
     holds its colour masks, with min(r, C(n,2)) colours.  depth = C(n,2)
     marks a full string; the full strings come in _iter_rgs order.  Every
     prefix longer than `prefix` that the walk enters after the first full
-    string goes to `settled` (None settles none); when that returns true,
-    the prefix is yielded in place of its whole subtree, with a[depth:] all
-    0, and the walk moves on to the next sibling.  Both a and masks are
-    reused buffers, moved one edge at a time: a label change swaps that
-    edge's bits between two colours, a step back clears them.
+    string goes to `settled` (None settles none).  a is then the prefix and
+    0 after it, so a.index(0) is the prefix's depth, and masks its colour
+    masks.  When `settled` returns true, the prefix is yielded in place of
+    its whole subtree, with a[depth:] still all 0, and the walk moves on to
+    the next sibling; when false, the walk enters the subtree.  Both a and
+    masks are reused buffers, moved one edge at a time: a label change
+    swaps that edge's bits between two colours, a step back clears them.
     """
     length = n * (n - 1) // 2
-    a, tops = _first_string(length, r, prefix)
-    masks = colour_masks(n, min(r, length), a)
+    tops = _prefix_tops(length, r, prefix)
+    # the masks come before the string: past the view cap they are refused
+    # before the two C(n,2)-entry lists are built
+    masks = colour_masks(n, min(r, length), chain(prefix, repeat(1, length - len(prefix))))
+    a, tops = _first_string(length, prefix, tops)
     yield a, masks, length, tops[length]
     start = len(prefix)
     if start == length:
@@ -406,8 +420,12 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
     completion does too: none lowers the minimum, none ties it ahead of the
     witness, which the walk met earlier, and none falls below the threshold.
     The prefix's subtree is settled at once.  Without prove its colourings
-    are counted in closed form; with prove each one is still proved and
-    verified, and only its value scan is skipped.  colourings_checked counts
+    are counted in closed form.  With prove the same walk enters the
+    subtree: `settled` marks its depth and returns false, each colouring in
+    it is proved and verified with no value scan, and no prefix inside it
+    is valued, since stop cannot move while no colouring is valued.  Each
+    proof reads the walk's live masks through `EdgeColouring.on_masks`, so
+    no colouring's masks are built again.  colourings_checked counts
     the colourings covered, settled subtrees included, and the budget falls
     on the count a walk over every colouring gives.  Progress ticks at most
     once per step of the walk, at the last multiple of progress_every that
@@ -430,9 +448,19 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
     violation_count = 0
     proved = 0
     ran_out = None
+    inside = 0  # under prove: the depth of the settled prefix the walk is in, else 0
 
     def settled(masks: list[list[int]]) -> bool:
         return value_of(masks, n, top, stop) >= stop
+
+    def settled_under_prove(masks: list[list[int]]) -> bool:
+        """Mark a settled prefix and enter it all the same: each of its
+        colourings is proved.  a is the walk's buffer, bound by then."""
+        nonlocal inside
+        depth = a.index(0)
+        if not inside or depth <= inside:  # a prefix outside the marked subtree
+            inside = depth if value_of(masks, n, top, stop) >= stop else 0
+        return False
 
     def cover(size: int) -> None:
         """Count `size` more colourings, as far as the budget allows, with one
@@ -446,11 +474,12 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
         if room < size:
             raise BudgetExceededError(budget)
 
-    def record(colours: tuple[int, ...], bad: bool) -> None:
-        """Prove and verify the colouring when asked; count it if it is bad."""
+    def record(colours: tuple[int, ...], masks: list[list[int]], bad: bool) -> None:
+        """Prove and verify the colouring, whose masks the walk holds, when
+        asked; count it if it is bad."""
         nonlocal proved, violation_count
         if prove:
-            colouring = EdgeColouring(n, r, colours)
+            colouring = EdgeColouring.on_masks(n, r, colours, masks)
             try:
                 if verify_certificate(colouring, prove_global(colouring, r)).ok:
                     proved += 1
@@ -464,8 +493,14 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
                 samples.append(colours)
 
     try:
-        for a, masks, depth, used in _walk(n, r, prefix, settled):
-            if depth == length:
+        for a, masks, depth, used in _walk(n, r, prefix,
+                                           settled_under_prove if prove else settled):
+            if depth < length:  # a settled prefix, without prove
+                cover(completions(length - depth, used))
+            elif inside:  # a colouring under a settled prefix, under prove
+                cover(1)
+                record(tuple(a), masks, False)
+            else:
                 cover(1)
                 value = value_of(masks, n, top, stop)
                 if value < best:
@@ -474,13 +509,7 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
                     stop = best if threshold is None or best > threshold else threshold
                 bad = threshold is not None and value < threshold
                 if prove or bad:
-                    record(tuple(a), bad)
-            elif prove:
-                for leaf in _iter_rgs(length, r, tuple(a[:depth])):
-                    cover(1)
-                    record(tuple(leaf), False)
-            else:
-                cover(completions(length - depth, used))
+                    record(tuple(a), masks, bad)
     except BudgetExceededError as err:
         ran_out = err
     report = ExhaustReport(n, r, mode, processed, best, EdgeColouring(n, r, best_colours),

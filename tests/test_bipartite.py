@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -313,3 +314,15 @@ def test_mono_scan_without_edges_raises():
     g = BipartiteColouredGraph.from_coloured_edges(2, 2, 2, [])
     with pytest.raises(ValueError, match="no edges"):
         max_mono_double_star_bipartite(g, 1, 1)
+
+
+def test_coloured_edges_past_the_entry_cap_are_refused_before_allocating():
+    # 10^5 + 1 colour layers of 1000 rows would take about 800 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="100001 colours in use on 1000 vertices"):
+            BipartiteColouredGraph.from_coloured_edges(1000, 1, 10 ** 5, [(0, 0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

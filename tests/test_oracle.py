@@ -514,3 +514,18 @@ def test_completion_counts_stay_small_for_a_huge_palette():
     assert canonical_count(3, 99999999999) == canonical_count(3, 3) == 5
     report = exhaustive_theorem_check(3, 99999999999, mode="triple", budget=5)
     assert (report.colourings_checked, report.complete) == (5, True)
+
+
+def test_an_over_cap_walk_is_refused_before_anything_is_allocated():
+    # min(10^6, C(2000, 2)) colours and row 0 on 2000 vertices: the refusal
+    # comes before the completion counts (a row of 10^6 + 1 entries) and the
+    # first string and its tops (two lists of C(2000, 2) entries)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000001 colours in use on 2000 vertices: "
+                                             "the mask view would hold 2000002000 entries"):
+            exhaustive_theorem_check(2000, 10 ** 6, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
