@@ -8,7 +8,8 @@ two-edge path u - x - w, with vertex set N_c(u) | N_c(x) | N_c(w).
 Orders count the neighbourhood union, not degree sums: in a complete-graph
 colour class, common neighbours would be double-counted by d_c(x) + d_c(y).
 The degree-sum shortcut is exact only in the bipartite setting and lives in
-the bipartite module.
+the bipartite module; here d_c(x) + d_c(y) is only an upper bound, which
+the double scan uses to skip colours, centres and partners.
 
 Each structure has one scan, which keeps the first maximum under a fixed
 tie-break.  It skips only candidates that an exact upper bound shows can
@@ -34,6 +35,7 @@ witness.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, bit_tuple, component_masks, iter_bits
@@ -90,8 +92,8 @@ SINGLE_EDGE = 2
 # A bound costs popcounts of its own, so it is taken only where it can save
 # more: the triple scan bounds a middle of colour degree d >= _BOUND_DEGREE
 # (about 2d popcounts against C(d, 2) paths), and the double scan takes a
-# colour's largest component only once the best double star has more than
-# _BOUND_DEGREE vertices.  Neither fires on a K_n with n <= _BOUND_DEGREE.
+# colour's component and degree caps only once the best double star has more
+# than _BOUND_DEGREE vertices.  Neither fires on a K_n with n <= _BOUND_DEGREE.
 _BOUND_DEGREE = 6
 
 
@@ -100,27 +102,72 @@ def _largest_component(row: list[int]) -> int:
     return max((comp.bit_count() for comp in component_masks(row)), default=0)
 
 
+def _double_bounds(row: list[int], best: int) -> tuple[int, list[int], int, list[int], list[int]]:
+    """(cap, deg, dmax, levels, at_least): what bounds the double stars of one colour.
+
+    |N(x) | N(y)| <= d(x) + d(y), so no double star of the colour is larger
+    than its two largest degrees summed, nor than its largest component.
+    `cap` is the smaller of the two; the component is taken first, so a
+    colour that it alone skips (every colour after the first of a plane
+    colouring) reads no degrees.  `deg` holds every degree and `dmax` the
+    largest.  `levels` lists, in ascending order, the degrees above
+    best - dmax, below which no vertex is a partner that can beat the best;
+    `at_least[i]` is the mask of vertices of degree >= levels[i], and a last
+    0 closes the list.  When cap <= best the rest is left empty.
+    """
+    cap = _largest_component(row)
+    if cap > best:
+        deg = list(map(int.bit_count, row))
+        dmax = max(deg)
+        cap = min(cap, dmax + (dmax if deg.count(dmax) > 1 else sorted(deg)[-2]))
+    if cap <= best:
+        return cap, [], 0, [], [0]
+    floor = best - dmax
+    buckets: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        if d > floor:
+            buckets[d] = buckets.get(d, 0) | 1 << v
+    levels = sorted(buckets)
+    at_least = [0] * (len(levels) + 1)
+    acc = 0
+    for i in range(len(levels) - 1, -1, -1):
+        acc |= buckets[levels[i]]
+        at_least[i] = acc
+    return cap, deg, dmax, levels, at_least
+
+
 def _double_scan(masks: list[list[int]], n: int, m: int, stop: int) -> tuple[int, int, int, int]:
     """(order, c, x, y) of the first maximum double star; order 0 without edges.
 
     Returns early, with some order >= stop, once the best reaches `stop`.
 
     Centre edges are scanned by colour, then lexicographically, which is the
-    tie-break order, so only a strict improvement is recorded.  No double
-    star is larger than the largest component of its colour, its cap.  A
-    colour met with the best above _BOUND_DEGREE takes its cap at once and is
-    skipped unless the cap is larger; any other colour takes it on its first
-    improvement above _BOUND_DEGREE.  A colour ends when the best reaches its cap.
+    tie-break order, so only a strict improvement is recorded, and a centre
+    edge whose order cannot exceed the best is skipped without changing the
+    result.  Each colour's bounds (`_double_bounds`) are taken on entry when
+    the best is above _BOUND_DEGREE, or else at its first improvement above
+    _BOUND_DEGREE.  Once taken, they skip the rest of the colour when its cap
+    is no larger than the best, end it when the best reaches the cap, skip a
+    centre x when d(x) + dmax <= best, and visit only the partners y with
+    d(y) > best - d(x).
     """
     best = best_c = best_x = best_y = 0
     for c in range(1, m + 1):
         row = masks[c]
-        cap = _largest_component(row) if best > _BOUND_DEGREE else 0  # 0: not taken yet
-        if cap <= best and best > _BOUND_DEGREE:
-            continue
+        cap = 0  # 0: bounds not taken yet
+        if best > _BOUND_DEGREE:
+            cap, deg, dmax, levels, at_least = _double_bounds(row, best)
+            if cap <= best:
+                continue
         for x in range(n - 1):
             mx = row[x]
-            high = mx >> (x + 1)
+            if cap:
+                dx = deg[x]
+                if dx + dmax <= best:
+                    continue
+                high = (mx & at_least[bisect_right(levels, best - dx)]) >> (x + 1)
+            else:
+                high = mx >> (x + 1)
             while high:
                 low = high & -high
                 y = x + low.bit_length()
@@ -132,7 +179,7 @@ def _double_scan(masks: list[list[int]], n: int, m: int, stop: int) -> tuple[int
                         return best, best_c, best_x, best_y
                     if order > _BOUND_DEGREE:
                         if not cap:
-                            cap = _largest_component(row)
+                            cap, deg, dmax, levels, at_least = _double_bounds(row, best)
                         if order == cap:
                             break
             else:
