@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .colouring import (BoundEntry, ComponentWitness, EdgeColouring,
@@ -311,6 +312,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+# Built once per process: parse_args keeps no state between calls, and the
+# tree costs a few ms to build, a large share of a small command.
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tristar",

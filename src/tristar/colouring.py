@@ -14,9 +14,13 @@ m < 256).  A plane is filled with two slice assignments per row and read
 at C speed: a row's distinct labels are one `set` (or one memchr per
 label in use), and its colour-c mask is one `bytes.translate` per plane,
 mapping c's digit to '1' and every other byte to '0', read by
-`int(..., 2)` and ANDed over the planes.  Validation checks the label
-types, converts the edge list to the narrowest unsigned array for m and
-checks its range, all in C.
+`int(..., 2)` and ANDed over the planes.
+
+Labels become the narrowest unsigned array for m (`_flat_labels`) once.
+`parse_colouring` makes that array as it reads the text, so validation of
+a parsed colouring reads only the array's range and the label matrix takes
+the array over.  For a colouring built any other way, validation checks
+the label types, converts the labels and checks their range, all in C.
 
 The module also houses the registry of known guaranteed orders for
 monochromatic structures; every bound is a fractions.Fraction so
@@ -209,13 +213,20 @@ class LabelMatrix:
     first), one byte per cell, back to front: row i is the slice at
     (n-1-i)*n with column v at offset n-1-v, so a row translated to
     '0'/'1' reads as a binary numeral with bit v for column v.
+
+    The planes come from the flat label array that `parse_colouring` left
+    on the record, which the matrix removes from it, or else from one
+    `_flat_labels` conversion of the colours.
     """
 
     def __init__(self, colouring: EdgeColouring):
         n = self.n = colouring.n
         self.m = colouring.m
         self.planes = []
-        for digits in _digit_planes(_flat_labels(self.m, colouring.colours), (self.m.bit_length() + 7) // 8 or 1):
+        flat = colouring.__dict__.pop("_flat", None)  # the parser's array, needed only here
+        if flat is None:
+            flat = _flat_labels(self.m, colouring.colours)
+        for digits in _digit_planes(flat, (self.m.bit_length() + 7) // 8 or 1):
             cells = bytearray(n * n)
             k = 0
             for i in range(n - 1):
@@ -428,7 +439,10 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     n, m, colours = colouring.n, colouring.m, colouring.colours
     want = edge_count(n) if n >= 2 else 0
     have = len(colours)
-    if n >= 2 and m >= 1 and have == want and _labels_in_range(m, colours):
+    count = min(have, want)
+    # a parsed record still holding its array is checked on that array
+    in_range = _labels_in_range(m, colours[:count], colouring.__dict__.get("_flat"))
+    if n >= 2 and m >= 1 and have == want and in_range:
         return _VALID
     problems = []
     if n < 2:
@@ -437,8 +451,7 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
         problems.append("m >= 1 required")
     if have != want:
         problems.append(f"missing or surplus edge colours: expected {want}, found {have}")
-    count = min(have, want)
-    if not _labels_in_range(m, colours[:count]):
+    if not in_range:
         # word each violation; only reached when some label is out of range
         for k, c in enumerate(colours[:count]):
             if not isinstance(c, int) or not 1 <= c <= m:
@@ -446,19 +459,24 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _labels_in_range(m: int, labels) -> bool:
+def _labels_in_range(m: int, labels, flat=None) -> bool:
     """Whether the labels are all ints in 1..m, checked in C.
 
     False when it cannot tell: a label of another type (the array
     conversion would take anything with __index__), one that does not fit
-    the array type of m, or m above 64 bits.
+    the array type of m, or m above 64 bits.  `flat`, when given, is the
+    labels' array as `_flat_labels` makes it from ints, so only its range
+    is read.
     """
-    if m < 1 or not set(map(type, labels)) <= _INT_TYPES:
+    if m < 1:
         return False
-    try:
-        flat = _flat_labels(m, labels)
-    except (TypeError, ValueError, OverflowError):
-        return False
+    if flat is None:
+        if not set(map(type, labels)) <= _INT_TYPES:
+            return False
+        try:
+            flat = _flat_labels(m, labels)
+        except (TypeError, ValueError, OverflowError):
+            return False
     if isinstance(flat, bytes):
         return not flat.translate(None, _BYTES[1:m + 1])
     if isinstance(flat, list):
@@ -607,38 +625,96 @@ def parse_colouring(text: str) -> EdgeColouring:
     row-major upper-triangular order, split across lines however convenient.
     A header m above _MAX_M is refused before anything is built.  Raises
     ColouringFormatError with 1-based line/column positions.
+
+    The labels are read once into the flat array `_flat_labels` would make
+    of them: with m <= 9 a body of single digits is read by two translates,
+    any other body by the token loop.  The record carries that array until
+    its label matrix takes it, and validation reads it: every label is an
+    int made here, so when all lie in 1..m the record is valid from the
+    start; otherwise `validate` words each violation as for any record.
     """
-    header = None
-    values: list[int] = []
-    labels = _Labels()
-    need = 0
+    lines = text.splitlines()
+    n, m, start = _parse_header(lines)
+    need = edge_count(n)
+    # a two-digit label cannot occur below m = 10, so only then is the
+    # digit path worth its checks
+    flat = _digit_labels("\n".join(lines[start:]), need) if m <= 9 else None
+    if flat is not None:
+        colouring = EdgeColouring(n, m, tuple(flat))
+        in_range = not flat.translate(None, _BYTES[1:m + 1])
+    else:
+        values, labels = _parse_tokens(lines, start, need)
+        colouring = EdgeColouring(n, m, tuple(values))
+        in_range = all(1 <= c <= m for c in labels.values())  # each distinct label once
+        try:
+            flat = _flat_labels(m, values)
+        except (ValueError, OverflowError):  # a label below 0 or too wide for m's array
+            pass
+    if flat is not None:
+        colouring.__dict__["_flat"] = flat
+    if in_range and n >= 2:  # with n < 2 there are no labels to be out of range
+        colouring.__dict__["validation"] = _VALID
+    return colouring
+
+
+def _parse_header(lines: list[str]) -> tuple[int, int, int]:
+    """n, m and the number of the header's line: the lines read up to the header."""
     lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.lstrip()
         if not stripped or stripped.startswith("#"):
             continue
-        if header is None:
-            tokens = list(_TOKEN.finditer(line))
-            if len(tokens) != 2:
-                raise ColouringFormatError("header must be exactly 'n m'", lineno, tokens[0].start() + 1)
-            pair = []
-            for tok in tokens:
-                try:
-                    value = int(tok.group())
-                except ValueError:
-                    raise ColouringFormatError(f"header value {tok.group()!r} is not an integer",
-                                               lineno, tok.start() + 1) from None
-                if value < 0:
-                    raise ColouringFormatError("header values must be nonnegative", lineno, tok.start() + 1)
-                pair.append(value)
-            if pair[1] > _MAX_M:
-                raise ColouringFormatError(f"header m = {pair[1]} too large: at most {_MAX_M} colours",
-                                           lineno, tokens[1].start() + 1)
-            header = (pair[0], pair[1])
-            need = edge_count(header[0])
+        tokens = list(_TOKEN.finditer(line))
+        if len(tokens) != 2:
+            raise ColouringFormatError("header must be exactly 'n m'", lineno, tokens[0].start() + 1)
+        pair = []
+        for tok in tokens:
+            try:
+                value = int(tok.group())
+            except ValueError:
+                raise ColouringFormatError(f"header value {tok.group()!r} is not an integer",
+                                           lineno, tok.start() + 1) from None
+            if value < 0:
+                raise ColouringFormatError("header values must be nonnegative", lineno, tok.start() + 1)
+            pair.append(value)
+        if pair[1] > _MAX_M:
+            raise ColouringFormatError(f"header m = {pair[1]} too large: at most {_MAX_M} colours",
+                                       lineno, tokens[1].start() + 1)
+        return pair[0], pair[1], lineno
+    raise ColouringFormatError("empty input: missing 'n m' header", max(lineno, 1), 1)
+
+
+# _DIGITS maps a digit to '1' and every other byte to '0'
+_DIGITS = bytes(49 if 48 <= b <= 57 else 48 for b in range(256))
+# _DIGIT_VALUE maps the digits '0'-'9' to the bytes 0-9
+_DIGIT_VALUE = bytes(b - 48 if 48 <= b <= 57 else b for b in range(256))
+
+
+def _digit_labels(body: str, need: int) -> bytes | None:
+    """The labels of a body of `need` single-digit tokens, one byte each, or None.
+
+    Only a body of ASCII digits, spaces, tabs and line feeds, no two digits
+    adjacent, with exactly `need` digits, qualifies: every token is then one
+    digit, and the token loop would read the same labels and raise nothing.
+    """
+    raw = body.encode("ascii", "replace")  # anything else becomes '?'
+    digits = raw.translate(_DIGITS)
+    if b"11" in digits or digits.count(b"1") != need:
+        return None
+    flat = raw.translate(_DIGIT_VALUE, b" \t\n")
+    return flat if len(flat) == need else None  # longer: some other byte stayed
+
+
+def _parse_tokens(lines: list[str], start: int, need: int) -> tuple[list[int], _Labels]:
+    """The labels after line `start`, token by token, with the memo that converted each."""
+    values: list[int] = []
+    labels = _Labels()
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        stripped = line.lstrip()
+        if not stripped or stripped.startswith("#"):
             continue
         # str.split and \S+ cut at the same characters, so a line that fits
-        # and converts is read exactly as the token loop below would read it
+        # and converts is read exactly as `_parse_line` would read it
         words = line.split()
         mark = len(values)
         if mark + len(words) <= need:
@@ -647,22 +723,20 @@ def parse_colouring(text: str) -> EdgeColouring:
                 continue
             except ValueError:
                 del values[mark:]
-        _parse_line(line, lineno, values, need)
-    if header is None:
-        raise ColouringFormatError("empty input: missing 'n m' header", max(lineno, 1), 1)
+        _parse_line(line, lineno, values, need, labels)
     if len(values) != need:
-        raise ColouringFormatError(f"expected {need} edge colours, found {len(values)}", lineno, 1)
-    return EdgeColouring(header[0], header[1], tuple(values))
+        raise ColouringFormatError(f"expected {need} edge colours, found {len(values)}", len(lines), 1)
+    return values, labels
 
 
-def _parse_line(line: str, lineno: int, values: list[int], need: int) -> None:
+def _parse_line(line: str, lineno: int, values: list[int], need: int, labels: _Labels) -> None:
     """Token by token, so the first bad token raises with its exact column."""
     for tok in _TOKEN.finditer(line):
         if len(values) >= need:
             raise ColouringFormatError(f"surplus token {tok.group()!r}: expected only {need} edge colours",
                                        lineno, tok.start() + 1)
         try:
-            values.append(int(tok.group()))
+            values.append(labels[tok.group()])
         except ValueError:
             raise ColouringFormatError(f"edge colour {tok.group()!r} is not an integer",
                                        lineno, tok.start() + 1) from None
