@@ -636,8 +636,8 @@ def parse_colouring(text: str) -> EdgeColouring:
     lines = text.splitlines()
     n, m, start = _parse_header(lines)
     need = edge_count(n)
-    # a two-digit label cannot occur below m = 10, so only then is the
-    # digit path worth its checks
+    # a valid file needs two-digit labels only from m = 10 on, so only
+    # below that is the digit path worth its checks
     flat = _digit_labels("\n".join(lines[start:]), need) if m <= 9 else None
     if flat is not None:
         colouring = EdgeColouring(n, m, tuple(flat))
@@ -652,7 +652,7 @@ def parse_colouring(text: str) -> EdgeColouring:
             pass
     if flat is not None:
         colouring.__dict__["_flat"] = flat
-    if in_range and n >= 2:  # with n < 2 there are no labels to be out of range
+    if in_range and n >= 2:  # n < 2 has no labels to check, yet is invalid
         colouring.__dict__["validation"] = _VALID
     return colouring
 
