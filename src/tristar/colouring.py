@@ -16,7 +16,8 @@ label in use), and its colour-c mask is one `bytes.translate` per plane,
 mapping c's digit to '1' and every other byte to '0', read by
 `int(..., 2)` and ANDed over the planes.
 
-Labels become the narrowest unsigned array for m (`_flat_labels`) once.
+Labels become one flat array (`_flat_labels`) once: bytes below 256
+colours, native unsigned ints ('I', at least 32 bits) up to the cap _MAX_M.
 `parse_colouring` makes that array as it reads the text, so validation of
 a parsed colouring reads only the array's range and the label matrix takes
 the array over.  For a colouring built any other way, validation checks
@@ -163,22 +164,13 @@ class EdgeColouring:
 
 
 def _flat_labels(m: int, colours):
-    """The labels in the narrowest unsigned array for m (bytes below 256).
+    """The labels as bytes below 256 colours, else as an array of 'I' items.
 
-    A list when m needs more than 64 bits.  Raises TypeError, ValueError or
+    A C unsigned int holds at least 32 bits on every CPython platform, so
+    'I' holds every label up to _MAX_M.  Raises TypeError, ValueError or
     OverflowError when some label is no integer or does not fit.
     """
-    code = _item_type(m.bit_length())
-    if code == "B":
-        return bytes(colours)
-    return list(colours) if code is None else array(code, colours)
-
-
-# _ITEM_TYPE[bits]: typecode of the narrowest native unsigned array item of
-# at least `bits` bits; `_item_type` gives None above 64
-_ITEM_TYPE = {bits: next(code for code in "BHIQ" if bits <= 8 * array(code).itemsize)
-              for bits in range(65)}
-_item_type = _ITEM_TYPE.get
+    return bytes(colours) if m < 256 else array("I", colours)
 
 
 # Below this many vertices masks come from the per-edge loop alone: the
@@ -195,10 +187,8 @@ def _digit_planes(flat, width: int) -> tuple[bytes, ...]:
     """The first `width` base-256 digit planes of the labels, least significant first."""
     if isinstance(flat, bytes):
         return (flat,)
-    if isinstance(flat, array):
-        raw, size = flat.tobytes(), flat.itemsize
-        return tuple(raw[at::size] for at in _digit_offsets(size)[:width])
-    return tuple(bytes(c >> 8 * p & 255 for c in flat) for p in range(width))
+    raw, size = flat.tobytes(), flat.itemsize
+    return tuple(raw[at::size] for at in _digit_offsets(size)[:width])
 
 
 _ZEROS = b"0" * 256
@@ -257,18 +247,14 @@ class LabelMatrix:
                 return [tuple(c for c in used if cells.find(c, lo, lo + n) >= 0)
                         for lo in range(n * n - n, -1, -n)]
         # a row's digits interleaved into native items, read back as labels
-        code = _item_type(8 * len(planes))
-        size = array(code).itemsize if code else 0
+        code = "B" if len(planes) == 1 else "I"
+        size = array(code).itemsize
         result = []
         for i in range(n):
-            rows = self.rows(i)
-            if code:
-                cells = bytearray(n * size)
-                for at, row in zip(_digit_offsets(size), rows):
-                    cells[at::size] = row
-                labels = set(memoryview(cells).cast(code))
-            else:  # labels wider than 64 bits
-                labels = {int.from_bytes(digits, "little") for digits in set(zip(*rows))}
+            cells = bytearray(n * size)
+            for at, row in zip(_digit_offsets(size), self.rows(i)):
+                cells[at::size] = row
+            labels = set(memoryview(cells).cast(code))
             labels.discard(0)
             result.append(tuple(labels))
         return result
@@ -289,16 +275,9 @@ def colour_masks(n: int, m: int, colours, used=None) -> list:
 
     Rows come from `_palette`: with `used` None every colour, row 0 included,
     gets one the walk and the annealer may edit.  `colours` is read once, in
-    edge order, so any iterable of labels serves.  Below _MATRIX_MIN_N each
-    edge's ends and bits come from a per-n table; larger n compute them.
+    edge order, so any iterable of labels serves.
     """
     masks = _palette(n, m, used)
-    if n < _MATRIX_MIN_N:
-        for c, (i, j, bi, bj) in zip(colours, _edge_table(n)):
-            row = masks[c]
-            row[i] |= bj
-            row[j] |= bi
-        return masks
     labels = iter(colours)
     for i in range(n - 1):
         one = 1 << i
@@ -307,25 +286,6 @@ def colour_masks(n: int, m: int, colours, used=None) -> list:
             row[i] |= 1 << j
             row[j] |= one
     return masks
-
-
-# _EDGE_TABLES[n]: the table `_edge_table` built for n, only ever n < _MATRIX_MIN_N
-_EDGE_TABLES: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
-
-
-def _edge_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(i, j, 1 << i, 1 << j) for each edge {i, j} of K_n, in row-major order.
-
-    Built on first use and kept.  Only `colour_masks` asks for it, and only
-    for n < _MATRIX_MIN_N = 64, so the cache holds at most 64 tables of at
-    most C(63, 2) = 1953 entries; a table for every n up to the generators'
-    cap of 2000 would hold millions of tuples.
-    """
-    table = _EDGE_TABLES.get(n)
-    if table is None:
-        table = _EDGE_TABLES[n] = tuple((i, j, 1 << i, 1 << j)
-                                        for i in range(n - 1) for j in range(i + 1, n))
-    return table
 
 
 # Masks keep an n-entry row per colour given one: a rainbow K_n, a valid file
@@ -440,18 +400,22 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     want = edge_count(n) if n >= 2 else 0
     have = len(colours)
     count = min(have, want)
-    # a parsed record still holding its array is checked on that array
-    in_range = _labels_in_range(m, colours[:count], colouring.__dict__.get("_flat"))
-    if n >= 2 and m >= 1 and have == want and in_range:
+    # a parsed record still holding its array is checked on that array; no
+    # array is asked to hold labels of a palette above the cap
+    in_range = 1 <= m <= _MAX_M and _labels_in_range(m, colours[:count],
+                                                       colouring.__dict__.get("_flat"))
+    if n >= 2 and have == want and in_range:
         return _VALID
     problems = []
     if n < 2:
         problems.append("n >= 2 required")
     if m < 1:
         problems.append("m >= 1 required")
+    if m > _MAX_M:
+        problems.append(f"m <= {_MAX_M} required")
     if have != want:
         problems.append(f"missing or surplus edge colours: expected {want}, found {have}")
-    if not in_range:
+    if not in_range and m <= _MAX_M:
         # word each violation; only reached when some label is out of range
         for k, c in enumerate(colours[:count]):
             if not isinstance(c, int) or not 1 <= c <= m:
@@ -460,16 +424,13 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
 
 
 def _labels_in_range(m: int, labels, flat=None) -> bool:
-    """Whether the labels are all ints in 1..m, checked in C.
+    """Whether the labels are all ints in 1..m, for 1 <= m <= _MAX_M, checked in C.
 
     False when it cannot tell: a label of another type (the array
-    conversion would take anything with __index__), one that does not fit
-    the array type of m, or m above 64 bits.  `flat`, when given, is the
-    labels' array as `_flat_labels` makes it from ints, so only its range
-    is read.
+    conversion would take anything with __index__) or one that does not fit
+    the array type of m.  `flat`, when given, is the labels' array as
+    `_flat_labels` makes it from ints, so only its range is read.
     """
-    if m < 1:
-        return False
     if flat is None:
         if not set(map(type, labels)) <= _INT_TYPES:
             return False
@@ -479,8 +440,6 @@ def _labels_in_range(m: int, labels, flat=None) -> bool:
             return False
     if isinstance(flat, bytes):
         return not flat.translate(None, _BYTES[1:m + 1])
-    if isinstance(flat, list):
-        return False
     return not flat or 1 <= min(flat) and max(flat) <= m
 
 
@@ -605,7 +564,8 @@ def subgraph_diameter(colouring: EdgeColouring, c: int, vertices) -> int | None:
 _TOKEN = re.compile(r"\S+")
 
 # A view keeps a row pointer per declared colour; the cap stays above C(2000, 2),
-# the most colours a colouring at the generators' n cap can use.
+# the most colours a colouring at the generators' n cap can use.  The parser
+# refuses a header above it, `validate` a record, and the generators an r.
 _MAX_M = 2_000_000
 
 

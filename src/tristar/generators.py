@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .colouring import EdgeColouring
+from .colouring import _MAX_M, EdgeColouring
 from .rng import SplitMix64
 
 
@@ -54,6 +54,8 @@ def _require_counts(n: int, r: int) -> None:
         raise ValueError(f"n >= 2 required, got {n}")
     if r < 1:
         raise ValueError(f"r >= 1 required, got {r}")
+    if r > _MAX_M:  # the most colours a colouring file or `validate` accepts
+        raise ValueError(f"r = {r} too large: at most {_MAX_M} colours")
     _require_size(n)
 
 

@@ -16,9 +16,10 @@ import pytest
 import tristar
 import tristar.oracle as oracle_module
 from tristar.cli import main
-from tristar.colouring import EdgeColouring, edge_index, format_colouring, parse_colouring
+from tristar.colouring import _MAX_M, EdgeColouring, edge_index, format_colouring, parse_colouring
 from tristar.explorer import objective
-from tristar.generators import affine_colouring, projective_local_colouring, random_colouring
+from tristar.generators import (affine_colouring, constant_colouring, projective_local_colouring,
+                                random_colouring)
 from tristar.prover import certificate_to_json, prove_global
 
 
@@ -85,6 +86,16 @@ def test_gen_rejects_composite_order(capsys):
     code, out, err = run(capsys, ["gen", "affine", "--q", "4", "--mult", "1"])
     assert code == 2
     assert "must be prime" in err
+
+
+@pytest.mark.parametrize("argv", [["random", "--n", "3", "--seed", "1"], ["constant", "--n", "3"]])
+def test_gen_refuses_more_colours_than_a_file_may_declare(tmp_path, capsys, argv):
+    # a header above the parser's cap would be refused by every other command
+    path = tmp_path / "c.txt"
+    code, out, err = run(capsys, ["gen", *argv, "--r", str(_MAX_M + 1), "--out", str(path)])
+    assert (code, out) == (2, "") and err.startswith("error:") and "too large" in err
+    assert not path.exists()
+    assert parse_colouring(format_colouring(constant_colouring(3, _MAX_M))).m == _MAX_M
 
 
 def _module_env() -> dict[str, str]:

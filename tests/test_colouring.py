@@ -86,7 +86,7 @@ def masks_from_colour_of(c: EdgeColouring) -> list[list[int]]:
 
 @pytest.mark.parametrize("n", [2, 5, 63, 64])
 def test_mask_builds_agree_with_colour_of_across_the_matrix_gate(n):
-    # below 64 vertices masks come from the per-n edge table; from 64 on,
+    # below 64 vertices masks come from the per-edge loop alone; from 64 on,
     # from the label matrix or the per-edge loop
     assert colouring_module._MATRIX_MIN_N == 64
     rng = random.Random(n)
@@ -113,15 +113,6 @@ def test_colour_masks_rows_fall_under_the_view_cap(monkeypatch):
     masks = colour_masks(n, m, (1,) * edge_count(n), {1})
     assert masks[1] == masks_from_colour_of(EdgeColouring(n, m, (1,) * edge_count(n)))[1]
     assert masks[0] is masks[2] == (0,) * n
-
-
-def test_the_edge_table_cache_holds_only_small_n():
-    rng = random.Random(64)
-    for n in (5, 63, 64, 65, 300):
-        colour_masks(n, 3, random_colours(rng, n, 3).colours)
-        random_colours(rng, n, 3).view
-    assert {5, 63} <= set(colouring_module._EDGE_TABLES)
-    assert max(colouring_module._EDGE_TABLES) < 64
 
 
 def test_degree_sums_count_each_edge_twice():

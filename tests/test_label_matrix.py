@@ -8,15 +8,18 @@ with every row forced to translate.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tristar.colouring as colouring_module
-from tristar.cli import main
-from tristar.colouring import EdgeColouring, _find_violations, edge_count, edge_index, locality
+from tristar.cli import build_analysis, main
+from tristar.colouring import (EdgeColouring, _find_violations, edge_count, edge_index, locality,
+                               validate)
 from tristar.oracle import exhaustive_theorem_check
+from tristar.prover import prove_global, prove_local, verify_certificate
 
 PALETTES = (1, 3, 255, 256, 257, 65535, 65536)
 EXAMPLES = settings(max_examples=120, deadline=None, database=None, derandomize=True,
@@ -48,15 +51,18 @@ def reference_incident(n: int, colours) -> tuple[frozenset[int], ...]:
 
 
 def reference_violations(n: int, m: int, colours) -> tuple[str, ...]:
+    cap = colouring_module._MAX_M
     problems = []
     if n < 2:
         problems.append("n >= 2 required")
     if m < 1:
         problems.append("m >= 1 required")
+    if m > cap:
+        problems.append(f"m <= {cap} required")
     want = edge_count(n) if n >= 2 else 0
     if len(colours) != want:
         problems.append(f"missing or surplus edge colours: expected {want}, found {len(colours)}")
-    for k, c in enumerate(colours[:want]):
+    for k, c in enumerate(colours[:want] if m <= cap else ()):  # no label is read above the cap
         if not isinstance(c, int) or not 1 <= c <= m:
             problems.append(f"label out of range at edge position {k}: {c!r}")
     return tuple(problems)
@@ -221,17 +227,25 @@ def test_search_rejects_n_above_the_generator_limit(capsys):
     assert "n = 2001 too large" in capsys.readouterr().err
 
 
-def test_labels_wider_than_64_bits_keep_locality_and_colour_rows():
-    # no array type holds these labels: the digit planes come from the ints
-    n, m = 70, 2 ** 70
-    pool = (1, 2 ** 64 + 3, 2 ** 70, 300)
-    colours = tuple(pool[(k * k + k // 3) % len(pool)] for k in range(edge_count(n)))
-    c = EdgeColouring(n, m, colours)
-    assert _find_violations(c).violations == ()
-    assert locality(c).incident == reference_incident(n, colours)
-    want = reference_masks(n, m, colours)
-    for colour in pool:
-        assert c.colour_rows(colour) == want[colour]
+def test_palettes_above_the_cap_are_refused_before_anything_is_built():
+    cap = colouring_module._MAX_M
+    assert validate(EdgeColouring(3, cap, (1, 2, cap))).ok
+    for m in (cap + 1, 2 ** 70):
+        assert validate(EdgeColouring(3, m, (1, 2, m))).violations == (f"m <= {cap} required",)
+    cert = prove_global(EdgeColouring(4, 3, (1,) * 6), 3)
+    for c in (EdgeColouring(4, 3 * 10 ** 8, (1,) * 6), EdgeColouring(4, 2 ** 70, (1, 2 ** 70) * 3)):
+        tracemalloc.start()
+        try:
+            for call in (lambda: prove_global(c, c.m), lambda: prove_local(c, 3),
+                         lambda: build_analysis(c)):
+                with pytest.raises(ValueError, match=f"invalid colouring: m <= {cap} required"):
+                    call()
+            report = verify_certificate(c, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.failures == (f"invalid colouring: m <= {cap} required",)
+        assert peak < 8 * 2 ** 20
 
 
 def test_labels_at_either_end_of_a_row_are_found():
