@@ -251,8 +251,6 @@ def build_G2(colouring: EdgeColouring, star: DoubleStarWitness) -> G2Constructio
 def random_bipartite(a_size: int, b_size: int, num: int, den: int,
                      seed: int) -> BipartiteColouredGraph:
     """Uncoloured random bipartite graph: each pair joined with probability num/den."""
-    if a_size < 1 or b_size < 1:
-        raise ValueError("both sides must be nonempty")
     rng = SplitMix64(seed)
     pairs = [(a, b) for a in range(a_size) for b in range(b_size)
              if rng.chance(num, den)]

@@ -267,7 +267,7 @@ def _format_exhaust(report: ExhaustReport) -> str:
 def _cmd_exhaust(args: argparse.Namespace) -> int:
     def progress(done: int) -> None:
         print(f"checked {done} colourings", file=sys.stderr)
-    if args.r > _MAX_R:  # under --prove every colouring's view keeps a row per colour
+    if args.r > _MAX_R:  # every exhaust, though only under --prove a view keeps a row per colour
         raise ValueError(f"r = {args.r} too large: at most r = {_MAX_R}")
     try:
         report = exhaustive_theorem_check(

@@ -18,10 +18,9 @@ mapping c's digit to '1' and every other byte to '0', read by
 
 Labels become one flat array (`_flat_labels`) once: bytes below 256
 colours, native unsigned ints ('I', at least 32 bits) up to the cap _MAX_M.
-`parse_colouring` makes that array as it reads the text, so validation of
-a parsed colouring reads only the array's range and the label matrix takes
-the array over.  For a colouring built any other way, validation checks
-the label types, converts the labels and checks their range, all in C.
+`parse_colouring` makes that array as it reads the text and hands it, with
+a valid record, to the label matrix.  Validation checks the label types,
+converts the labels and checks their range, all in C.
 
 The module also houses the registry of known guaranteed orders for
 monochromatic structures; every bound is a fractions.Fraction so
@@ -400,10 +399,8 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     want = edge_count(n) if n >= 2 else 0
     have = len(colours)
     count = min(have, want)
-    # a parsed record still holding its array is checked on that array; no
-    # array is asked to hold labels of a palette above the cap
-    in_range = 1 <= m <= _MAX_M and _labels_in_range(m, colours[:count],
-                                                       colouring.__dict__.get("_flat"))
+    # no array is asked to hold labels of a palette above the cap
+    in_range = 1 <= m <= _MAX_M and _labels_in_range(m, colours[:count])
     if n >= 2 and have == want and in_range:
         return _VALID
     problems = []
@@ -423,21 +420,19 @@ def _find_violations(colouring: EdgeColouring) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _labels_in_range(m: int, labels, flat=None) -> bool:
+def _labels_in_range(m: int, labels) -> bool:
     """Whether the labels are all ints in 1..m, for 1 <= m <= _MAX_M, checked in C.
 
     False when it cannot tell: a label of another type (the array
     conversion would take anything with __index__) or one that does not fit
-    the array type of m.  `flat`, when given, is the labels' array as
-    `_flat_labels` makes it from ints, so only its range is read.
+    the array type of m.
     """
-    if flat is None:
-        if not set(map(type, labels)) <= _INT_TYPES:
-            return False
-        try:
-            flat = _flat_labels(m, labels)
-        except (TypeError, ValueError, OverflowError):
-            return False
+    if not set(map(type, labels)) <= _INT_TYPES:
+        return False
+    try:
+        flat = _flat_labels(m, labels)
+    except (TypeError, ValueError, OverflowError):
+        return False
     if isinstance(flat, bytes):
         return not flat.translate(None, _BYTES[1:m + 1])
     return not flat or 1 <= min(flat) and max(flat) <= m
@@ -588,10 +583,10 @@ def parse_colouring(text: str) -> EdgeColouring:
 
     The labels are read once into the flat array `_flat_labels` would make
     of them: with m <= 9 a body of single digits is read by two translates,
-    any other body by the token loop.  The record carries that array until
-    its label matrix takes it, and validation reads it: every label is an
-    int made here, so when all lie in 1..m the record is valid from the
-    start; otherwise `validate` words each violation as for any record.
+    any other body by the token loop.  Every label is an int made here, so
+    when all lie in 1..m the record is valid from the start and carries
+    that array until its label matrix takes it; otherwise it carries no
+    array and `validate` words each violation as for any record.
     """
     lines = text.splitlines()
     n, m, start = _parse_header(lines)
@@ -606,14 +601,9 @@ def parse_colouring(text: str) -> EdgeColouring:
         values, labels = _parse_tokens(lines, start, need)
         colouring = EdgeColouring(n, m, tuple(values))
         in_range = all(1 <= c <= m for c in labels.values())  # each distinct label once
-        try:
-            flat = _flat_labels(m, values)
-        except (ValueError, OverflowError):  # a label below 0 or too wide for m's array
-            pass
-    if flat is not None:
-        colouring.__dict__["_flat"] = flat
+        flat = _flat_labels(m, values) if in_range else None  # 1..m always fits the array
     if in_range and n >= 2:  # n < 2 has no labels to check, yet is invalid
-        colouring.__dict__["validation"] = _VALID
+        colouring.__dict__.update(_flat=flat, validation=_VALID)
     return colouring
 
 
@@ -718,9 +708,7 @@ def format_colouring(colouring: EdgeColouring, comments: tuple[str, ...] = ()) -
 
 def component_bound(n: int, r: int) -> Q:
     """Monochromatic component floor n/(r-1) for r-colourings, r >= 2."""
-    _check_nr(n, r)
-    if r < 2:
-        raise ValueError(f"component floor needs r >= 2, got r={r}")
+    _check_nr(n, r, 2, "component floor")
     return Q(n, r - 1)
 
 
@@ -730,9 +718,7 @@ def no_affine_component_bound(n: int, r: int) -> Q:
     Applies only when no affine plane of order r-1 exists; the registry
     carries that proviso in the entry note.
     """
-    _check_nr(n, r)
-    if r < 3:
-        raise ValueError(f"this floor needs r >= 3, got r={r}")
+    _check_nr(n, r, 3, "this floor")
     return Q(n) / (Q(r - 1) - Q(1, r - 1))
 
 
@@ -744,18 +730,14 @@ def triple_star_bound(n: int, r: int) -> Q:
 
     False for r = 2, where the guaranteed value is 7n/8 instead.
     """
-    _check_nr(n, r)
-    if r < 3:
-        raise ValueError(f"triple-star floor needs r >= 3, got r={r}")
+    _check_nr(n, r, 3, "triple-star floor")
     return Q(n, r - 1)
 
 
 @lru_cache(maxsize=256)
 def triple_star_bound_local(n: int, r: int) -> Q:
     """Triple-star floor rn/(r^2-r+1) under a local r-colouring, r >= 3."""
-    _check_nr(n, r)
-    if r < 3:
-        raise ValueError(f"local triple-star floor needs r >= 3, got r={r}")
+    _check_nr(n, r, 3, "local triple-star floor")
     return Q(r * n, r * r - r + 1)
 
 
@@ -764,25 +746,19 @@ def double_star_bound(n: int, r: int) -> Q:
 
     Whether n/(r-1) itself is attainable by a double star is open.
     """
-    _check_nr(n, r)
-    if r < 3:
-        raise ValueError(f"double-star floor needs r >= 3, got r={r}")
+    _check_nr(n, r, 3, "double-star floor")
     return Q(n * (r + 1) + r - 1, r * r)
 
 
 def double_star_bound_local(n: int, r: int) -> Q:
     """Double-star floor ((r+1)n+r-1)/(r^2+1) under a local r-colouring, r >= 2."""
-    _check_nr(n, r)
-    if r < 2:
-        raise ValueError(f"local double-star floor needs r >= 2, got r={r}")
+    _check_nr(n, r, 2, "local double-star floor")
     return Q((r + 1) * n + r - 1, r * r + 1)
 
 
 def local_component_bound(n: int, r: int) -> Q:
     """Component floor rn/(r^2-r+1) under a local r-colouring, r >= 2."""
-    _check_nr(n, r)
-    if r < 2:
-        raise ValueError(f"local component floor needs r >= 2, got r={r}")
+    _check_nr(n, r, 2, "local component floor")
     return Q(r * n, r * r - r + 1)
 
 
@@ -856,8 +832,11 @@ def proven_floor(n: int, r: int, kind: str) -> Q | None:
     raise ValueError(f"unknown objective kind: {kind!r}")
 
 
-def _check_nr(n: int, r: int) -> None:
+def _check_nr(n: int, r: int, least: int = 1, floor: str = "") -> None:
+    """Refuse n < 2, then r < 1, then an r below the floor's own least."""
     if n < 2:
         raise ValueError(f"n >= 2 required, got n={n}")
     if r < 1:
         raise ValueError(f"r >= 1 required, got r={r}")
+    if r < least:
+        raise ValueError(f"{floor} needs r >= {least}, got r={r}")

@@ -295,12 +295,12 @@ def max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
 
 
 def max_double_star_order(masks: list[list[int]], n: int, m: int) -> int:
-    """Order-only double-star maximum straight from colour masks (hot path)."""
+    """Order-only double-star maximum straight from colour masks."""
     return _double_scan(masks, n, m, n + 1)[0]
 
 
 def max_triple_star_order(masks: list[list[int]], n: int, m: int) -> int:
-    """Order-only triple-star maximum straight from colour masks (hot path).
+    """Order-only triple-star maximum straight from colour masks.
 
     Returns 0 when no colour admits a two-edge path, mirroring
     max_triple_star's None.

@@ -4,8 +4,8 @@
 translates and any other body token by token.  The digit path must give
 the token loop's colouring, or leave the text to the token loop, which
 raises every ColouringFormatError.  A parsed colouring's labels are
-converted to their flat array once, in the parser; validation and the
-label matrix read that array.
+converted to their flat array once, in the parser; the label matrix of a
+valid colouring reads that array.
 """
 from __future__ import annotations
 
