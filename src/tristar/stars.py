@@ -8,8 +8,10 @@ two-edge path u - x - w, with vertex set N_c(u) | N_c(x) | N_c(w).
 Orders count the neighbourhood union, not degree sums: in a complete-graph
 colour class, common neighbours would be double-counted by d_c(x) + d_c(y).
 The degree-sum shortcut is exact only in the bipartite setting and lives in
-the bipartite module; here d_c(x) + d_c(y) is only an upper bound, which
-the double scan uses to skip colours, centres and partners.
+the bipartite module.  Here sums are only upper bounds: d_c(x) + d_c(y) lets
+the double scan skip colours, centres and partners, and d + 1 + g(u) + g(w)
+ends the triple scan's pairs u, w of a middle x, with d = d_c(x) and the gain
+g(v) = |N_c(v) - N_c(x)| - 1 of a leaf v (x is in N_c(v) but counts once).
 
 Each structure has one scan, which keeps the first maximum under a fixed
 tie-break.  It skips only candidates that an exact upper bound shows can
@@ -19,8 +21,9 @@ finders and the order-only kernels are thin wrappers over it, so results
 are deterministic and the two always agree.
 
 A scan also takes a `stop` order.  Below it the result is exact; once the
-best reaches it the scan returns at once, with the first candidate in scan
-order whose order is >= stop, which may fall short of the maximum.  An
+best reaches it the scan returns the first candidate in scan order whose
+order is >= stop, which may fall short of the maximum; the triple scan
+first ends the middle that reached stop, whose pairs it visits by gain.  An
 exhaustive check that only asks whether a colouring's maximum falls below
 the running minimum passes that minimum.  The largest-component scan takes
 the same `stop`.
@@ -35,7 +38,7 @@ witness.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, bit_tuple, component_masks, iter_bits
@@ -91,9 +94,11 @@ SINGLE_EDGE = 2
 
 # A bound costs popcounts of its own, so it is taken only where it can save
 # more: the triple scan bounds a middle of colour degree d >= _BOUND_DEGREE
-# (about 2d popcounts against C(d, 2) paths), and the double scan takes a
-# colour's component and degree caps only once the best double star has more
-# than _BOUND_DEGREE vertices.  Neither fires on a K_n with n <= _BOUND_DEGREE.
+# (about 2d popcounts and a sort of d gains against C(d, 2) paths; sorting
+# smaller middles too made a K_6 walk twice as slow), and the double scan
+# takes a colour's component and degree caps only once the best double star
+# has more than _BOUND_DEGREE vertices.  Neither fires on a K_n with
+# n <= _BOUND_DEGREE.
 _BOUND_DEGREE = 6
 
 
@@ -192,16 +197,18 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
                  stop: int) -> tuple[int, int, int, int, int]:
     """(order, c, u, x, w) of the maximum triple star with the smallest (c, u, x, w).
 
-    Order 0 when no colour admits a two-edge path.  Returns early, with some
-    order >= stop, once the best reaches `stop`.  Paths are scanned by
-    colour, then middle x, then u < w.  Within one colour a later path that
-    ties the best precedes it in key order exactly when its u is smaller.
+    Order 0 when no colour admits a two-edge path.  Once the best reaches
+    `stop`, returns the first path of order >= stop in scan order: colour,
+    middle x, then u < w.  A later path in the same colour that ties the
+    best precedes it in key order when its u is smaller, or when its u and x
+    are the best's and its w is smaller.
 
-    Paths that provably cannot beat the best, or tie it and win the
-    tie-break, are skipped: a whole colour when its largest component is no
-    larger; a middle x when its ball of radius 2 is not; and a first leaf u
-    when |N(u) | N(x)| plus the largest |N(w) - N(x) - {x}| over the later
-    leaves w is not.
+    A middle of colour degree d < _BOUND_DEGREE visits u < w.  A larger one
+    is skipped when the colour's largest component or its ball of radius 2
+    cannot beat the best, or tie it and win; otherwise its leaf pairs go by
+    gain, largest first, and both loops break once d + 1 + g(u) + g(w) falls
+    below `need`: the best, one more in a later colour (no tie wins there),
+    or, after a pair reaches stop, stop, when only a smaller (u, w) counts.
     """
     best = best_c = best_u = best_x = best_w = 0
     for c in range(1, m + 1):
@@ -213,44 +220,58 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
             if d < 2:
                 continue
             hood = list(iter_bits(nb))
-            starts = range(d - 1)
-            if d >= _BOUND_DEGREE:
-                if not cap:
-                    cap = _largest_component(row)
-                    if cap < best or cap == best and c != best_c:
-                        break
-                ball = nb
-                for v in hood:
-                    ball |= row[v]
-                reach = ball.bit_count()
-                if reach < best or reach == best and (c != best_c or hood[0] >= best_u):
-                    continue
-                # rest[a]: the most that a leaf w = hood[b], b >= a, adds to
-                # N(u) | N(x); x lies in N(w) - N(x), but N(u) holds it already
-                rest = [(row[w] & ~nb).bit_count() - 1 for w in hood]
-                for a in range(d - 2, 0, -1):
-                    if rest[a] < rest[a + 1]:
-                        rest[a] = rest[a + 1]
-                # keep a first leaf only if it can still beat the best, or tie it
-                # and win; one dropped here stays dominated while this middle's
-                # scan raises the best or lowers best_u
-                starts = []
+            if d < _BOUND_DEGREE:
                 for a in range(d - 1):
-                    reach = (row[hood[a]] | nb).bit_count() + rest[a + 1]
-                    if reach > best or reach == best and c == best_c and hood[a] < best_u:
-                        starts.append(a)
-            for a in starts:
-                u = hood[a]
-                mu = row[u] | nb
-                for w in hood[a + 1:]:
-                    order = (mu | row[w]).bit_count()
-                    if order >= best:
+                    u = hood[a]
+                    mu = row[u] | nb
+                    for w in hood[a + 1:]:
+                        order = (mu | row[w]).bit_count()
+                        if order >= best:
+                            if order > best:
+                                best, best_c, best_u, best_x, best_w = order, c, u, x, w
+                                if order >= stop:
+                                    return best, best_c, best_u, best_x, best_w
+                            elif c == best_c and u < best_u:
+                                best_u, best_x, best_w = u, x, w
+                continue
+            if not cap:
+                cap = _largest_component(row)
+                if cap < best or cap == best and c != best_c:
+                    break
+            ball = nb
+            for v in hood:
+                ball |= row[v]
+            reach = ball.bit_count()
+            if reach < best or reach == best and (c != best_c or hood[0] >= best_u):
+                continue
+            # -|N(v) - N(x)| << shift | v for each leaf v: by gain, largest first
+            shift = n.bit_length()
+            low = (1 << shift) - 1
+            ranked = sorted([-(row[v] & ~nb).bit_count() << shift | v for v in hood])
+            leaves = [k & low for k in ranked]
+            need = best + (c != best_c)  # the least order that can replace the best
+            for i in range(d - 1):
+                # the leaves w after u with d + 1 + g(u) + g(w) >= need
+                end = bisect_left(ranked, d - need - (ranked[i] >> shift) << shift, i + 1)
+                if end == i + 1:
+                    break
+                a = leaves[i]
+                ma = row[a] | nb
+                for b in leaves[i + 1:end]:
+                    order = (ma | row[b]).bit_count()
+                    if order >= need:
+                        u, w = (a, b) if a < b else (b, a)
                         if order > best:
                             best, best_c, best_u, best_x, best_w = order, c, u, x, w
+                            need = best
                             if order >= stop:
-                                return best, best_c, best_u, best_x, best_w
-                        elif c == best_c and u < best_u:
+                                # no order exceeds n: from here only a smaller
+                                # (u, w) that reaches stop replaces the path
+                                best, need = n + 1, stop
+                        elif u < best_u or u == best_u and x == best_x and w < best_w:
                             best_u, best_x, best_w = u, x, w
+            if best > n:
+                return (row[best_u] | nb | row[best_w]).bit_count(), c, best_u, x, best_w
     return best, best_c, best_u, best_x, best_w
 
 
