@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -34,13 +34,9 @@ Q = Fraction
 
 @dataclass(frozen=True)
 class BoundComparison:
-    name: str
-    observable: str  # component | double | triple
-    value: Q
+    entry: BoundEntry
     observed: int | None
     status: str  # met | below | info | skipped
-    note: str
-    conditional: bool
 
 
 @dataclass(frozen=True)
@@ -86,18 +82,16 @@ class AnalysisReport:
             lines.append(title)
             for row in rows:
                 observed = "-" if row.observed is None else str(row.observed)
-                tail = f" ({row.note})" if row.status == "info" else ""
-                lines.append(f"  {row.name} >= {row.value}: observed {observed}, "
+                tail = f" ({row.entry.note})" if row.status == "info" else ""
+                lines.append(f"  {row.entry.name} >= {row.entry.value}: observed {observed}, "
                              f"{row.status}{tail}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         """Byte-stable single-line JSON: sorted keys, exact rationals as num/den."""
         def rows(entries: tuple[BoundComparison, ...]) -> list[dict]:
-            return [{"name": e.name, "observable": e.observable,
-                     "value": _q_dict(e.value), "observed": e.observed,
-                     "status": e.status, "note": e.note,
-                     "conditional": e.conditional} for e in entries]
+            return [asdict(e.entry) | {"value": _q_dict(e.entry.value), "observed": e.observed,
+                                       "status": e.status} for e in entries]
         if self.triple_skipped:
             triple = "skipped"
         elif self.max_triple is None:
@@ -157,8 +151,7 @@ def build_analysis(colouring: EdgeColouring, include_triple: bool = True) -> Ana
                 status = "skipped"
             else:
                 status = "met" if Q(seen) >= e.value else "below"
-            rows.append(BoundComparison(e.name, e.observable, e.value, seen,
-                                        status, e.note, e.conditional))
+            rows.append(BoundComparison(e, seen, status))
         return tuple(rows)
     return AnalysisReport(colouring.n, colouring.m, local.locality, components,
                           biggest, double, triple, not include_triple,

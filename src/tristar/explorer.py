@@ -1,10 +1,10 @@
 """Stochastic search for colourings with small monochromatic structures.
 
 Probes the open question of how small the largest monochromatic double or
-triple star can be made, relative to n/(r-1).  Simulated annealing over
-single-edge recolourings; nothing here asserts anything about the open
-problems, but a best value below a proven floor is escalated as a
-TheoremViolation exactly like the prover would.
+triple star can be made, relative to n/(r-1), by simulated annealing over
+single-edge recolourings; every order it reads comes from `stars`.
+Nothing here asserts anything about the open problems, but a best value
+below a proven floor is escalated as a TheoremViolation like the prover's.
 """
 from __future__ import annotations
 
@@ -12,14 +12,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import EdgeColouring, colour_masks, iter_bits, proven_floor
+from .colouring import EdgeColouring, colour_masks, proven_floor
 from .errors import TheoremViolation
 from .generators import _MAX_N, _MAX_R
 from .oracle import _value_fn
 from .rng import SplitMix64
 # The three-argument max_*_order kernels are not called here; they stay
 # importable from this module because the benchmark's trace swaps them.
-from .stars import SINGLE_EDGE, _component_order, max_double_star_order, max_triple_star_order
+from .stars import (_CENTRE_ORDERS, SINGLE_EDGE, _component_order, max_double_star_order,
+                    max_triple_star_order)
 
 Q = Fraction
 
@@ -181,114 +182,6 @@ def _recolour(masks: list[list[int]], i: int, j: int, old: int, new: int) -> Non
     masks[new][j] |= 1 << i
 
 
-def _double_orders(row: list[int], x: int, ends: int) -> list[int]:
-    """Orders of the double stars on the centre edges x - y, y in ends."""
-    mx = row[x]
-    orders = []
-    add = orders.append
-    while ends:  # iter_bits inlined: this loop scores a double move
-        low = ends & -ends
-        add((mx | row[low.bit_length() - 1]).bit_count())
-        ends ^= low
-    return orders
-
-
-def _double_at(row: list[int], x: int) -> list[int]:
-    """Orders of the double stars on the centre edges from x to higher vertices."""
-    return _double_orders(row, x, row[x] >> (x + 1) << (x + 1))
-
-
-def _double_shifting(row: list[int], i: int, j: int) -> list[int]:
-    """Orders of the double stars i - y and j - y off the edge {i, j} that its move shifts.
-
-    A move toggles bit j of N(i).  A centre edge i - y with y in N(j) keeps
-    its order, since N(y) already holds j; every other i - y gains or
-    loses exactly that bit.  The same holds for j - y with i and j swapped.
-    """
-    ri, rj = row[i], row[j]
-    pair = 1 << i | 1 << j
-    return _double_orders(row, i, ri & ~rj & ~pair) + _double_orders(row, j, rj & ~ri & ~pair)
-
-
-def _double_edge(row: list[int], i: int, j: int) -> list[int]:
-    """The order of the double star on the centre edge i - j."""
-    return [(row[i] | row[j]).bit_count()]
-
-
-def _triple_orders(row: list[int], x: int, ends: int) -> list[int]:
-    """Orders of the triple stars on the paths u - x - w, u < w both in ends."""
-    nb = row[x]
-    seen = []
-    orders = []
-    for w in iter_bits(ends):
-        mw = row[w]
-        orders += [(mw | m).bit_count() for m in seen]
-        seen.append(mw | nb)
-    return orders
-
-
-def _triple_at(row: list[int], x: int) -> list[int]:
-    """Orders of the triple stars on the paths with middle x."""
-    return _triple_orders(row, x, row[x])
-
-
-def _triple_orders_from(row: list[int], u: int, middles: int, ends: int) -> list[int]:
-    """Orders of the triple stars on the paths u - x - w, x in middles, w in ends."""
-    mu = row[u]
-    orders = []
-    add = orders.append
-    for x in iter_bits(middles):
-        nb = row[x]
-        ux = mu | nb
-        far = nb & ends
-        while far:  # iter_bits inlined: this loop scores most of a triple move
-            low = far & -far
-            add((ux | row[low.bit_length() - 1]).bit_count())
-            far ^= low
-    return orders
-
-
-def _triple_shifting(row: list[int], i: int, j: int) -> list[int]:
-    """Orders of the triple stars off the edge {i, j} that its move shifts.
-
-    A move toggles bit j of N(i).  A star through i whose other members
-    include one in N(j) keeps its order, since that member's neighbourhood
-    already holds j: i - x - j for x in N(i) and N(j), u - i - w with an
-    end in N(j), i - x - w with x or w in N(j).  Every other star through i
-    off the edge gains or loses exactly that bit: u - i - w with u, w
-    outside N(j) and j, and i - x - w with x, w outside N(j).  The same
-    holds with i and j swapped.
-    """
-    pair = 1 << i | 1 << j
-    off_j = ~(row[j] | pair)
-    off_i = ~(row[i] | pair)
-    ends_i = row[i] & off_j
-    ends_j = row[j] & off_i
-    return (_triple_orders(row, i, ends_i) + _triple_orders_from(row, i, ends_i, off_j)
-            + _triple_orders(row, j, ends_j) + _triple_orders_from(row, j, ends_j, off_i))
-
-
-def _triple_edge(row: list[int], i: int, j: int) -> list[int]:
-    """Orders of the triple stars on the paths j - i - w and i - j - w.
-
-    Both have order |N(i) | N(j) | N(w)|; a vertex w in N(i) and N(j) is
-    the end of one of each.
-    """
-    ij = row[i] | row[j]
-    pair = 1 << i | 1 << j
-    return ([(ij | row[w]).bit_count() for w in iter_bits(row[i] & ~pair)]
-            + [(ij | row[w]).bit_count() for w in iter_bits(row[j] & ~pair)])
-
-
-# Per objective: the orders of the stars one centre owns, each star owned
-# once; the orders of the stars off a moved edge whose order the move
-# shifts by exactly one; the orders of the stars on the moved edge itself.
-_CENTRE_ORDERS = {
-    "double": (_double_at, _double_shifting, _double_edge),
-    "triple": (_triple_at, _triple_shifting, _triple_edge),
-}
-
-
 class StarHistogram:
     """count[order] over every double or triple star of a colouring's masks.
 
@@ -298,11 +191,11 @@ class StarHistogram:
     and appear in new.  Of the other stars with i or j as a member, one
     that holds the toggled bit through another member keeps its order, and
     every other one shifts by exactly 1: down in old, up in new.  So move()
-    scores each changed star once: the shifting stars of both colours and
-    old's edge stars before the flip, new's edge stars after it, into a
-    copy of count; undo() puts the saved count and top back and flips the
-    edge back.  The objective is the highest
-    nonzero bin.  One permanent entry at SINGLE_EDGE stands for the
+    counts each changed star once, as `_CENTRE_ORDERS` lists it: the
+    shifting stars of both colours and old's edge stars before the flip,
+    new's edge stars after it, into a copy of count; undo() puts the saved
+    count and top back and flips the edge back.  The objective is the
+    highest nonzero bin.  One permanent entry at SINGLE_EDGE stands for the
     single-edge value, so the top never falls below it.
     """
 

@@ -35,6 +35,11 @@ first maximum.  The triple-star witness passes n + 1, which no order
 reaches: a later path of equal order still wins its tie-break when its
 outer centre u is smaller, so the first path of order n need not be the
 witness.
+
+The edge kernels after the scans feed the annealer's StarHistogram.  Per
+objective, `_CENTRE_ORDERS` holds the orders of the stars one centre owns
+(each star owned once), which fill the histogram, and of the stars that
+recolouring an edge changes: those off it, shifted by one, and those on it.
 """
 from __future__ import annotations
 
@@ -286,6 +291,109 @@ def _component_order(masks: list[list[int]], n: int, m: int, stop: int) -> int:
                 if size >= stop:
                     return best
     return best
+
+
+def _double_orders(row: list[int], x: int, ends: int) -> list[int]:
+    """Orders of the double stars on the centre edges x - y, y in ends."""
+    mx = row[x]
+    orders = []
+    add = orders.append
+    while ends:  # iter_bits inlined: this loop scores a double move
+        low = ends & -ends
+        add((mx | row[low.bit_length() - 1]).bit_count())
+        ends ^= low
+    return orders
+
+
+def _double_at(row: list[int], x: int) -> list[int]:
+    """Orders of the double stars on the centre edges from x to higher vertices."""
+    return _double_orders(row, x, row[x] >> (x + 1) << (x + 1))
+
+
+def _double_shifting(row: list[int], i: int, j: int) -> list[int]:
+    """Orders of the double stars i - y and j - y off the edge {i, j} that its move shifts.
+
+    A move toggles bit j of N(i).  A centre edge i - y with y in N(j) keeps
+    its order, since N(y) already holds j; every other i - y gains or
+    loses exactly that bit.  The same holds for j - y with i and j swapped.
+    """
+    ri, rj = row[i], row[j]
+    pair = 1 << i | 1 << j
+    return _double_orders(row, i, ri & ~rj & ~pair) + _double_orders(row, j, rj & ~ri & ~pair)
+
+
+def _double_edge(row: list[int], i: int, j: int) -> list[int]:
+    """The order of the double star on the centre edge i - j."""
+    return [(row[i] | row[j]).bit_count()]
+
+
+def _triple_orders(row: list[int], x: int, ends: int) -> list[int]:
+    """Orders of the triple stars on the paths u - x - w, u < w both in ends."""
+    nb = row[x]
+    seen = []
+    orders = []
+    for w in iter_bits(ends):
+        mw = row[w]
+        orders += [(mw | m).bit_count() for m in seen]
+        seen.append(mw | nb)
+    return orders
+
+
+def _triple_at(row: list[int], x: int) -> list[int]:
+    """Orders of the triple stars on the paths with middle x."""
+    return _triple_orders(row, x, row[x])
+
+
+def _triple_orders_from(row: list[int], u: int, middles: int, ends: int) -> list[int]:
+    """Orders of the triple stars on the paths u - x - w, x in middles, w in ends."""
+    mu = row[u]
+    orders = []
+    add = orders.append
+    for x in iter_bits(middles):
+        nb = row[x]
+        ux = mu | nb
+        far = nb & ends
+        while far:  # iter_bits inlined: this loop scores most of a triple move
+            low = far & -far
+            add((ux | row[low.bit_length() - 1]).bit_count())
+            far ^= low
+    return orders
+
+
+def _triple_shifting(row: list[int], i: int, j: int) -> list[int]:
+    """Orders of the triple stars off the edge {i, j} that its move shifts.
+
+    A move toggles bit j of N(i).  A star through i whose other members
+    include one in N(j) keeps its order, since that member's neighbourhood
+    already holds j: i - x - j for x in N(i) and N(j), u - i - w with an
+    end in N(j), i - x - w with x or w in N(j).  Every other star through i
+    off the edge gains or loses exactly that bit: u - i - w with u, w
+    outside N(j) and j, and i - x - w with x, w outside N(j).  The same
+    holds with i and j swapped.
+    """
+    pair = 1 << i | 1 << j
+    off_j = ~(row[j] | pair)
+    off_i = ~(row[i] | pair)
+    ends_i = row[i] & off_j
+    ends_j = row[j] & off_i
+    return (_triple_orders(row, i, ends_i) + _triple_orders_from(row, i, ends_i, off_j)
+            + _triple_orders(row, j, ends_j) + _triple_orders_from(row, j, ends_j, off_i))
+
+
+def _triple_edge(row: list[int], i: int, j: int) -> list[int]:
+    """Orders of the triple stars on the paths j - i - w and i - j - w.
+
+    Both have order |N(i) | N(j) | N(w)|; a vertex w in N(i) and N(j) is
+    the end of one of each.
+    """
+    off = ~(1 << i | 1 << j)
+    return _triple_orders_from(row, j, 1 << i, off) + _triple_orders_from(row, i, 1 << j, off)
+
+
+_CENTRE_ORDERS = {
+    "double": (_double_at, _double_shifting, _double_edge),
+    "triple": (_triple_at, _triple_shifting, _triple_edge),
+}
 
 
 def max_double_star(colouring: EdgeColouring) -> DoubleStarWitness:
