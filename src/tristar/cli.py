@@ -22,7 +22,7 @@ from .explorer import SearchConfig, SearchOutcome, anneal
 from .generators import (_MAX_R, affine_colouring, constant_colouring,
                          projective_local_colouring, random_colouring)
 from .oracle import ExhaustReport, exhaustive_theorem_check
-from .prover import (certificate_from_json, certificate_to_json, prove_global,
+from .prover import (certificate_from_json, certificate_to_json, num_den, prove_global,
                      prove_local, verify_certificate)
 from .stars import (SINGLE_EDGE, DoubleStarWitness, TripleStarWitness,
                     max_double_star, max_triple_star)
@@ -90,16 +90,11 @@ class AnalysisReport:
     def to_json(self) -> str:
         """Byte-stable single-line JSON: sorted keys, exact rationals as num/den."""
         def rows(entries: tuple[BoundComparison, ...]) -> list[dict]:
-            return [asdict(e.entry) | {"value": _q_dict(e.entry.value), "observed": e.observed,
+            return [asdict(e.entry) | {"value": num_den(e.entry.value), "observed": e.observed,
                                        "status": e.status} for e in entries]
-        if self.triple_skipped:
-            triple = "skipped"
-        elif self.max_triple is None:
-            triple = None
-        else:
-            triple = {"colour": self.max_triple.colour,
-                      "centres": list(self.max_triple.centres),
-                      "order": self.max_triple.order}
+        def star(w: DoubleStarWitness | TripleStarWitness | None) -> dict | None:
+            return None if w is None else {"colour": w.colour, "centres": list(w.centres),
+                                           "order": w.order}
         obj = {
             "n": self.n,
             "m": self.m,
@@ -109,18 +104,12 @@ class AnalysisReport:
             "max_component": {"colour": self.max_component.colour,
                               "size": self.max_component.size,
                               "min_vertex": self.max_component.vertices[0]},
-            "max_double_star": {"colour": self.max_double.colour,
-                                "centres": list(self.max_double.centres),
-                                "order": self.max_double.order},
-            "max_triple_star": triple,
+            "max_double_star": star(self.max_double),
+            "max_triple_star": "skipped" if self.triple_skipped else star(self.max_triple),
             "bounds": {"global": {"r": self.m, "entries": rows(self.bounds_global)},
                        "local": {"r": self.locality, "entries": rows(self.bounds_local)}},
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _q_dict(value: Q) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
 
 
 def build_analysis(colouring: EdgeColouring, include_triple: bool = True) -> AnalysisReport:

@@ -245,15 +245,16 @@ class LabelMatrix:
             if len(used) * 16 < n:
                 return [tuple(c for c in used if cells.find(c, lo, lo + n) >= 0)
                         for lo in range(n * n - n, -1, -n)]
-        # a row's digits interleaved into native items, read back as labels
-        code = "B" if len(planes) == 1 else "I"
-        size = array(code).itemsize
+        size = array("I").itemsize
         result = []
-        for i in range(n):
-            cells = bytearray(n * size)
-            for at, row in zip(_digit_offsets(size), self.rows(i)):
-                cells[at::size] = row
-            labels = set(memoryview(cells).cast(code))
+        for i, lo in enumerate(range(n * n - n, -1, -n)):
+            if len(planes) == 1:
+                labels = set(planes[0][lo:lo + n])
+            else:  # the row's digits interleaved into native 'I' items, read back as labels
+                cells = bytearray(n * size)
+                for at, row in zip(_digit_offsets(size), self.rows(i)):
+                    cells[at::size] = row
+                labels = set(memoryview(cells).cast("I"))
             labels.discard(0)
             result.append(tuple(labels))
         return result
@@ -779,40 +780,33 @@ def known_bounds(n: int, r: int, local: bool = False) -> list[BoundEntry]:
     the side condition stated in their note and are never asserted.
     """
     _check_nr(n, r)
-    entries: list[BoundEntry] = []
     if r == 1:
-        entries.append(BoundEntry("component", "component", Q(n),
-                                  "one colour covers every edge"))
-        return entries
-    if not local:
-        entries.append(BoundEntry("component", "component", component_bound(n, r),
-                                  "largest monochromatic component, any r-colouring"))
+        rows = [("component", "component", Q(n), "one colour covers every edge")]
+    elif not local:
+        rows = [("component", "component", component_bound(n, r),
+                 "largest monochromatic component, any r-colouring")]
         if r >= 3:
-            entries.append(BoundEntry("component-no-affine", "component",
-                                      no_affine_component_bound(n, r),
-                                      "holds only when no affine plane of order r-1 exists",
-                                      conditional=True))
-            entries.append(BoundEntry("double-star", "double", double_star_bound(n, r),
-                                      "best known double-star floor for r >= 3"))
-            entries.append(BoundEntry("triple-star", "triple", triple_star_bound(n, r),
-                                      "triple star matching the component floor"))
+            rows += [("component-no-affine", "component", no_affine_component_bound(n, r),
+                      "holds only when no affine plane of order r-1 exists", True),
+                     ("double-star", "double", double_star_bound(n, r),
+                      "best known double-star floor for r >= 3"),
+                     ("triple-star", "triple", triple_star_bound(n, r),
+                      "triple star matching the component floor")]
         else:
-            entries.append(BoundEntry("double-star", "double", Q(3 * n, 4),
-                                      "two-colour double star"))
-            entries.append(BoundEntry("triple-star", "triple", Q(7 * n, 8),
-                                      "two-colour triple star"))
+            rows += [("double-star", "double", Q(3 * n, 4), "two-colour double star"),
+                     ("triple-star", "triple", Q(7 * n, 8), "two-colour triple star")]
     else:
-        entries.append(BoundEntry("component-local", "component", local_component_bound(n, r),
-                                  "largest component when each vertex meets at most r colours"))
-        entries.append(BoundEntry("double-star-local", "double", double_star_bound_local(n, r),
-                                  "double star under the same locality limit"))
+        rows = [("component-local", "component", local_component_bound(n, r),
+                 "largest component when each vertex meets at most r colours"),
+                ("double-star-local", "double", double_star_bound_local(n, r),
+                 "double star under the same locality limit")]
         if r == 2:
-            entries.append(BoundEntry("double-star-local-two", "double", Q(2 * n, 3),
-                                      "sharper two-colour local double star"))
+            rows.append(("double-star-local-two", "double", Q(2 * n, 3),
+                         "sharper two-colour local double star"))
         if r >= 3:
-            entries.append(BoundEntry("triple-star-local", "triple", triple_star_bound_local(n, r),
-                                      "triple star matching the local component floor"))
-    return entries
+            rows.append(("triple-star-local", "triple", triple_star_bound_local(n, r),
+                         "triple star matching the local component floor"))
+    return [BoundEntry(*row) for row in rows]
 
 
 def proven_floor(n: int, r: int, kind: str) -> Q | None:

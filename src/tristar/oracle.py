@@ -400,12 +400,10 @@ def _split_prefixes(n: int, r: int, threads: int) -> list[tuple[int, ...]]:
     """Short restricted-growth prefixes that partition the full enumeration."""
     length = n * (n - 1) // 2
     depth = 1
-    while depth < min(length, 12):
-        count = sum(1 for _ in _iter_rgs(depth, r))
-        if count >= 4 * threads:
-            break
+    while (depth < min(length, 12)
+           and _completion_counts(min(r, depth), None)(depth, 0) < 4 * threads):
         depth += 1
-    return [tuple(p) for p in _iter_rgs(min(depth, length), r)]
+    return [tuple(p) for p in _iter_rgs(depth, r)]
 
 
 def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,

@@ -17,7 +17,7 @@ re-checks every claim from the colouring alone and never trusts the trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -288,32 +288,25 @@ def _within_two(masks: list[int], root: int, inside: int) -> bool:
 
 # --- certificate files -------------------------------------------------------
 
+def num_den(value: Q) -> dict:
+    """An exact rational as its JSON object."""
+    return {"num": value.numerator, "den": value.denominator}
+
+
+def _fields(record) -> dict:
+    """A record's fields by name, in declaration order; shallow, where asdict deep-copies."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def certificate_to_json(cert: TripleStarCertificate) -> str:
-    """Canonical single-line JSON; field order fixed, so output is byte-stable."""
-    obj = {
-        "format_version": 1,
-        "mode": cert.mode,
-        "n": cert.n,
-        "r": cert.r,
-        "bound": {"num": cert.bound.numerator, "den": cert.bound.denominator},
-        "colour": cert.colour,
-        "centres": list(cert.centres),
-        "vertices": list(cert.vertices),
-        "order": cert.order,
-        "degenerate": cert.degenerate,
-        "trace": {
-            "centres_U": list(cert.trace.centres_U),
-            "order_U": cert.trace.order_U,
-            "leaf_u": cert.trace.leaf_u,
-            "delta": cert.trace.delta,
-        },
-    }
+    """Canonical single-line JSON: format_version, then the fields in declaration order."""
+    obj = {"format_version": 1, **_fields(cert), "bound": num_den(cert.bound),
+           "trace": _fields(cert.trace)}
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-_TOP_KEYS = {"format_version", "mode", "n", "r", "bound", "colour", "centres",
-             "vertices", "order", "degenerate", "trace"}
-_TRACE_KEYS = {"centres_U", "order_U", "leaf_u", "delta"}
+_TOP_KEYS = {"format_version", *(f.name for f in fields(TripleStarCertificate))}
+_TRACE_KEYS = {f.name for f in fields(ProofTrace)}
 
 
 def certificate_from_json(text: str) -> TripleStarCertificate:
@@ -335,7 +328,7 @@ def certificate_from_json(text: str) -> TripleStarCertificate:
         if extra:
             parts.append("unknown " + ", ".join(sorted(extra)))
         raise CertificateFormatError("bad field set: " + "; ".join(parts))
-    if obj["format_version"] != 1:
+    if obj["format_version"] != 1 or type(obj["format_version"]) is not int:
         raise CertificateFormatError(f"unsupported format_version: {obj['format_version']!r}")
     mode = obj["mode"]
     if not isinstance(mode, str):

@@ -277,3 +277,20 @@ def test_a_view_past_the_entry_cap_is_refused_before_it_is_built(mask_path, monk
     assert "view" not in probe.__dict__
     # only the colours in use count, not the header m
     assert fresh(EdgeColouring(n, 10**6, (1,) * used)).view.masks[1][0] == 0b111110
+
+
+@pytest.mark.parametrize("n, m", [(20, 3), (70, 3), (40, 40), (30, 255), (30, 300), (12, 65536)])
+def test_row_labels_are_each_rows_distinct_labels(n, m):
+    # (20, 3), (40, 40) and (30, 255) read a byte row as a set, (70, 3) searches
+    # it label by label, (30, 300) and (12, 65536) interleave two and three planes
+    rng = random.Random(n * m)
+    c = EdgeColouring(n, m, tuple(rng.randint(1, m) for _ in range(edge_count(n))))
+    want = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            label = c.colours[edge_index(n, i, j)]
+            want[i].add(label)
+            want[j].add(label)
+    got = c.labels.row_labels
+    assert [set(row) for row in got] == want
+    assert all(len(row) == len(set(row)) for row in got)

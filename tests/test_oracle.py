@@ -529,3 +529,20 @@ def test_an_over_cap_walk_is_refused_before_anything_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_split_prefixes_match_the_enumerating_count():
+    def reference(n, r, threads):
+        length = n * (n - 1) // 2
+        depth = 1
+        while depth < min(length, 12):
+            count = sum(1 for _ in _iter_rgs(depth, r))
+            if count >= 4 * threads:
+                break
+            depth += 1
+        return [tuple(p) for p in _iter_rgs(min(depth, length), r)]
+
+    for n in range(2, 11):
+        for r in range(1, 8):
+            for threads in (1, 2, 3, 4, 8):
+                assert _split_prefixes(n, r, threads) == reference(n, r, threads), (n, r, threads)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
@@ -547,3 +548,21 @@ def test_certificate_parse_maps_deep_nesting_and_huge_integers_to_format_errors(
     good = certificate_to_json(prove_global(affine_colouring(2, 2), 3))
     with pytest.raises(CertificateFormatError, match="not valid JSON"):
         certificate_from_json(good.replace('"n":8', '"n":' + "9" * 5000))
+
+
+def test_certificate_parse_accepts_only_the_integer_format_version_one():
+    good = certificate_to_json(prove_global(affine_colouring(2, 2), 3))
+    certificate_from_json(good)
+    for version in ("true", "1.0", '"1"'):
+        text = good.replace('"format_version":1', '"format_version":' + version)
+        assert text != good
+        with pytest.raises(CertificateFormatError,
+                           match=r"unsupported format_version: (True|1\.0|'1')$"):
+            certificate_from_json(text)
+
+
+def test_certificate_keys_follow_the_record_declaration_order():
+    text = certificate_to_json(prove_global(affine_colouring(2, 2), 3))
+    obj = json.loads(text)
+    assert list(obj) == ["format_version"] + [f.name for f in dataclasses.fields(TripleStarCertificate)]
+    assert list(obj["trace"]) == [f.name for f in dataclasses.fields(ProofTrace)]
