@@ -14,12 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .colouring import (BoundEntry, ComponentWitness, EdgeColouring,
+from .colouring import (_MAX_R, BoundEntry, ComponentWitness, EdgeColouring,
                         colour_components, format_colouring, known_bounds,
                         locality, max_component, parse_colouring, validate)
 from .errors import BudgetExceededError, ColouringFormatError, TheoremViolation
 from .explorer import SearchConfig, SearchOutcome, anneal
-from .generators import (_MAX_R, affine_colouring, constant_colouring,
+from .generators import (affine_colouring, constant_colouring,
                          projective_local_colouring, random_colouring)
 from .oracle import ExhaustReport, exhaustive_theorem_check
 from .prover import (certificate_from_json, certificate_to_json, num_den, prove_global,
@@ -254,15 +254,13 @@ def _cmd_exhaust(args: argparse.Namespace) -> int:
     try:
         report = exhaustive_theorem_check(
             args.n, args.r, mode=args.mode, prove=args.prove,
-            threads=args.threads, budget=args.budget,
-            progress=progress if args.threads == 1 else None)
+            threads=args.threads, budget=args.budget, progress=progress)
     except BudgetExceededError as exc:
         print(f"budget exhausted after {exc.processed} colourings; report is partial",
               file=sys.stderr)
-        sys.stdout.write(_format_exhaust(exc.partial))
-        return 1
+        report = exc.partial
     sys.stdout.write(_format_exhaust(report))
-    return 0 if report.ok else 1
+    return 0 if report.ok and report.complete else 1
 
 
 def _format_search(outcome: SearchOutcome) -> str:

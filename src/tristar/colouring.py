@@ -560,9 +560,13 @@ def subgraph_diameter(colouring: EdgeColouring, c: int, vertices) -> int | None:
 _TOKEN = re.compile(r"\S+")
 
 # A view keeps a row pointer per declared colour; the cap stays above C(2000, 2),
-# the most colours a colouring at the generators' n cap can use.  The parser
+# the most colours a colouring at the n cap _MAX_N can use.  The parser
 # refuses a header above it, `validate` a record, and the generators an r.
 _MAX_M = 2_000_000
+_MAX_N = 2000  # C(n,2) colour entries; beyond this the dense model stops being sensible
+# A search keeps a mask row per colour, and so does every colouring that an
+# exhaustive proof builds, so r is held to the same scale as n.
+_MAX_R = 2000
 
 
 class _Labels(dict):

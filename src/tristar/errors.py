@@ -38,11 +38,11 @@ class TheoremViolation(Exception):
 class BudgetExceededError(RuntimeError):
     """An enumeration hit its colouring budget; results so far are partial.
 
-    `partial` carries whatever report the caller accumulated before the
-    budget ran out, so incomplete findings can still be surfaced.
+    `partial` is set by the caller to the report it accumulated before the
+    budget ran out (None until then), so incomplete findings can be surfaced.
     """
 
-    def __init__(self, processed: int, message: str | None = None, partial=None):
+    def __init__(self, processed: int):
         self.processed = processed
-        self.partial = partial
-        super().__init__(message or f"budget exhausted after {processed} colourings; results are partial")
+        self.partial = None
+        super().__init__(f"budget exhausted after {processed} colourings; results are partial")

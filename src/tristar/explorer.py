@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colouring import EdgeColouring, colour_masks, proven_floor
+from .colouring import _MAX_N, _MAX_R, EdgeColouring, colour_masks, proven_floor
 from .errors import TheoremViolation
-from .generators import _MAX_N, _MAX_R
 from .oracle import _value_fn
 from .rng import SplitMix64
 # The three-argument max_*_order kernels are not called here; they stay
@@ -93,9 +92,10 @@ def anneal(config: SearchConfig) -> SearchOutcome:
     earliest restart.  Raises TheoremViolation immediately if the search
     ever dips below a proven floor.
 
-    The double and triple objectives are kept in a StarHistogram, so a move
-    scores only the stars it changes, each once; the component objective
-    is recomputed after every move.
+    Every objective is one move/undo pair.  The double and triple
+    objectives are kept in a StarHistogram, so a move scores only the stars
+    it changes, each once; the component objective is recomputed after
+    every move, and undo recolours the edge back.
     """
     config.check()
     n, r = config.n, config.r
@@ -127,11 +127,17 @@ def anneal(config: SearchConfig) -> SearchOutcome:
         colours = [rng.below(r) + 1 for _ in range(length)]
         masks = colour_masks(n, r, colours)
         if config.objective == "component":
-            stars = None
             value = _component_order(masks, n, r, n + 1)
+
+            def move(i: int, j: int, old: int, new: int) -> int:
+                _recolour(masks, i, j, old, new)
+                return _component_order(masks, n, r, n + 1)
+
+            def undo() -> None:  # the edge the loop just tried, back to its old colour
+                _recolour(masks, i, j, new, old)
         else:
             stars = StarHistogram(config.objective, masks, n, r)
-            value = stars.top
+            value, move, undo = stars.top, stars.move, stars.undo
         evaluations += 1
         if value < best_value:
             record(restart, 0, value, colours)
@@ -143,11 +149,7 @@ def anneal(config: SearchConfig) -> SearchOutcome:
             if new >= old:
                 new += 1
             i, j = pairs[k]
-            if stars is None:
-                _recolour(masks, i, j, old, new)
-                candidate = _component_order(masks, n, r, n + 1)
-            else:
-                candidate = stars.move(i, j, old, new)
+            candidate = move(i, j, old, new)
             evaluations += 1
             delta = candidate - value
             if delta <= 0 or math.exp(-delta / temperature) > rng.unit():
@@ -155,10 +157,8 @@ def anneal(config: SearchConfig) -> SearchOutcome:
                 value = candidate
                 if value < best_value:
                     record(restart, it, value, colours)
-            elif stars is None:
-                _recolour(masks, i, j, new, old)
             else:
-                stars.undo()
+                undo()
             temperature *= cool
     ratio = Q(best_value * (r - 1), n)
     return SearchOutcome(config, EdgeColouring(n, r, best_colours), best_value,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .colouring import _MAX_M, EdgeColouring
+from .colouring import _MAX_M, _MAX_N, EdgeColouring
 from .rng import SplitMix64
 
 
@@ -36,12 +36,6 @@ def _require_plane(q: int, mult: int, points: int) -> None:
     if mult < 1:
         raise ValueError(f"mult must be >= 1, got {mult}")
     _require_size(mult * points)
-
-
-_MAX_N = 2000  # C(n,2) colour entries; beyond this the dense model stops being sensible
-# A search keeps a mask row per colour, and so does every colouring that an
-# exhaustive proof builds, so r is held to the same scale as n.
-_MAX_R = 2000
 
 
 def _require_size(n: int) -> None:

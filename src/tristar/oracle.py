@@ -36,9 +36,8 @@ from itertools import chain, islice, product, repeat
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
-from .colouring import EdgeColouring, colour_masks, proven_floor
+from .colouring import _MAX_N, _MAX_R, EdgeColouring, colour_masks, proven_floor
 from .errors import BudgetExceededError, TheoremViolation
-from .generators import _MAX_N, _MAX_R
 from .prover import prove_global, verify_certificate
 # The three-argument max_*_order kernels are not called here; they stay
 # importable from this module because the benchmark's trace swaps them.
@@ -445,7 +444,6 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
     samples: list[tuple[int, ...]] = []
     violation_count = 0
     proved = 0
-    ran_out = None
     inside = 0  # under prove: the depth of the settled prefix the walk is in, else 0
 
     def settled(masks: list[list[int]]) -> bool:
@@ -490,6 +488,11 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
             if len(samples) < _VIOLATION_SAMPLE_CAP:
                 samples.append(colours)
 
+    def report(complete: bool) -> ExhaustReport:
+        return ExhaustReport(n, r, mode, processed, best, EdgeColouring(n, r, best_colours),
+                             floor, threshold, violation_count,
+                             tuple(EdgeColouring(n, r, s) for s in samples), proved, complete)
+
     try:
         for a, masks, depth, used in _walk(n, r, prefix,
                                            settled_under_prove if prove else settled):
@@ -509,11 +512,6 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
                 if prove or bad:
                     record(tuple(a), masks, bad)
     except BudgetExceededError as err:
-        ran_out = err
-    report = ExhaustReport(n, r, mode, processed, best, EdgeColouring(n, r, best_colours),
-                           floor, threshold, violation_count,
-                           tuple(EdgeColouring(n, r, s) for s in samples), proved, ran_out is None)
-    if ran_out is not None:
-        ran_out.partial = report
-        raise ran_out
-    return report
+        err.partial = report(False)
+        raise
+    return report(True)

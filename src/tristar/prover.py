@@ -306,7 +306,7 @@ def certificate_to_json(cert: TripleStarCertificate) -> str:
 
 
 _TOP_KEYS = {"format_version", *(f.name for f in fields(TripleStarCertificate))}
-_TRACE_KEYS = {f.name for f in fields(ProofTrace)}
+_TRACE_KEYS = tuple(f.name for f in fields(ProofTrace))  # in declaration order
 
 
 def certificate_from_json(text: str) -> TripleStarCertificate:
@@ -349,8 +349,8 @@ def certificate_from_json(text: str) -> TripleStarCertificate:
     if not isinstance(degenerate, bool):
         raise CertificateFormatError("degenerate must be a boolean")
     trace = obj["trace"]
-    if not isinstance(trace, dict) or set(trace) != _TRACE_KEYS:
-        raise CertificateFormatError("trace must carry exactly centres_U, order_U, leaf_u, delta")
+    if not isinstance(trace, dict) or set(trace) != set(_TRACE_KEYS):
+        raise CertificateFormatError("trace must carry exactly " + ", ".join(_TRACE_KEYS))
     centres_u = _int_list(trace, "centres_U")
     if len(centres_u) != 2:
         raise CertificateFormatError("trace.centres_U must list two centres")

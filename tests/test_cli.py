@@ -495,6 +495,16 @@ def test_search_golden_output_with_unused_colours(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_search_component_golden_output(capsys):
+    # sha256 of `search` stdout on the component objective, which a move
+    # scores by a full recompute and a rejection takes back
+    code, out, err = run(capsys, ["search", "--n", "12", "--r", "6", "--objective", "component",
+                                  "--iters", "400", "--seed", "5", "--restarts", "2"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "94d9614f7c9b4d3974432cfa301750585118c6a10dafa91031529b0fd65ff94e")
+
+
 # --- parser edges ------------------------------------------------------------
 
 def test_usage_errors_exit_2(capsys):

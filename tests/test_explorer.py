@@ -153,6 +153,24 @@ def test_anneal_golden_outcome(config, log, evaluations, best, digest):
     assert hashlib.sha256(bytes(outcome.best_colouring.colours)).hexdigest() == digest
 
 
+# The component objective scores each move by a full recompute and takes it
+# back on a rejection; at this temperature most uphill moves are rejected.
+GOLDEN_COMPONENT = (
+    SearchConfig(12, 6, objective="component", iterations=400, restarts=2, seed=5,
+                 t_start=Q(1, 4), cooling=Q(99, 100)),
+    ((0, 0, 12), (0, 1, 11), (0, 7, 10), (0, 29, 9)), 802, 9,
+    "3e64e3c5f4936a9a66b1f113bde2b1df2b663ce2b3c5f4387c5405b484d98c9e")
+
+
+def test_anneal_component_golden_outcome():
+    config, log, evaluations, best, digest = GOLDEN_COMPONENT
+    outcome = anneal(config)
+    assert tuple((e.restart, e.iteration, e.objective) for e in outcome.log) == log
+    assert outcome.evaluations == evaluations
+    assert outcome.best_objective == best
+    assert hashlib.sha256(bytes(outcome.best_colouring.colours)).hexdigest() == digest
+
+
 # --- the incremental objective against the full recompute --------------------
 
 def one_factorisation(n: int) -> list[int]:

@@ -39,3 +39,12 @@ def test_the_generators_load_no_scan_search_or_pool_code():
     assert "tristar.generators" in loaded
     assert not loaded & {"tristar.cli", "tristar.oracle", "tristar.explorer", "tristar.bipartite",
                          "multiprocessing"}
+
+
+def test_the_exhaust_and_search_modules_load_no_generator_code():
+    loaded = loaded_after("tristar.oracle")
+    assert "tristar.oracle" in loaded
+    assert not loaded & {"tristar.generators", "tristar.rng"}
+    loaded = loaded_after("tristar.explorer")
+    assert "tristar.explorer" in loaded
+    assert "tristar.generators" not in loaded

@@ -542,6 +542,14 @@ def test_certificate_parse_rejects_malformed_input():
             certificate_from_json(text)
 
 
+def test_certificate_parse_names_the_trace_fields_in_declaration_order():
+    good = certificate_to_json(prove_global(affine_colouring(2, 2), 3))
+    names = [f.name for f in dataclasses.fields(ProofTrace)]
+    with pytest.raises(CertificateFormatError) as info:
+        certificate_from_json(good.replace('"delta":0', '"gamma":0'))
+    assert str(info.value) == "trace must carry exactly " + ", ".join(names)
+
+
 def test_certificate_parse_maps_deep_nesting_and_huge_integers_to_format_errors():
     with pytest.raises(CertificateFormatError, match="nested too deeply"):
         certificate_from_json("[" * 100000)

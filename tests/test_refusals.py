@@ -11,13 +11,16 @@ from __future__ import annotations
 import pytest
 
 import tristar.colouring as colouring_module
+from tristar.bipartite import BipartiteColouredGraph, max_mono_double_star_bipartite
 from tristar.cli import main
 from tristar.colouring import (EdgeColouring, _find_violations, component_bound,
                                double_star_bound, double_star_bound_local, edge_count,
                                format_colouring, known_bounds, local_component_bound,
-                               no_affine_component_bound, parse_colouring, proven_floor,
-                               triple_star_bound, triple_star_bound_local, validate)
+                               edge_index, no_affine_component_bound, parse_colouring,
+                               proven_floor, triple_star_bound, triple_star_bound_local, validate)
+from tristar.errors import ColouringFormatError
 from tristar.generators import random_colouring
+from tristar.oracle import EnumerationSpec, canonical_count, enumerate_colourings
 
 # each floor with the least r it accepts and its refusal of r = least - 1
 FLOORS = [
@@ -109,3 +112,52 @@ def test_prove_and_verify_refuse_the_file_converting_each_load_at_most_once(
     line = f"error: invalid colouring: label out of range at edge position {edge_count(n) - 1}: {label}\n"
     assert captured.err == line * 2
     assert len(calls) <= 2
+
+
+# --- outside input refused nowhere else in the suite ---------------------------
+
+def test_a_negative_header_value_is_refused_by_parse_and_analyze(tmp_path, capsys):
+    message = "header values must be nonnegative (line 1, column 1)"
+    with pytest.raises(ColouringFormatError) as exc:
+        parse_colouring("-2 3\n")
+    assert str(exc.value) == message
+    path = tmp_path / "negative.txt"
+    path.write_text("-2 3\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_prove_local_refuses_r_below_3(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text(format_colouring(EdgeColouring(4, 3, (1, 2, 3, 3, 2, 1))))
+    assert main(["prove", str(path), "--local", "--r", "2", "--cert", "-"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: theorem requires r >= 3\n")
+
+
+@pytest.mark.parametrize("ask", [lambda: canonical_count(1, 3),
+                                 lambda: next(enumerate_colourings(EnumerationSpec(1, 3)))],
+                         ids=["canonical_count", "enumerate_colourings"])
+def test_counting_and_enumeration_refuse_a_graph_without_edges(ask):
+    with pytest.raises(ValueError) as exc:
+        ask()
+    assert str(exc.value) == "need n >= 2 and r >= 1"
+
+
+def test_the_monochromatic_bipartite_scan_refuses_its_limits_in_its_own_words():
+    g = BipartiteColouredGraph.from_coloured_edges(2, 1, 2, [(0, 0, 1), (1, 0, 2)])
+    for r, t in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError) as exc:
+            max_mono_double_star_bipartite(g, r, t)
+        assert str(exc.value) == "colour limits must be >= 1"
+    with pytest.raises(ValueError) as exc:
+        max_mono_double_star_bipartite(g, 1, 1)
+    assert str(exc.value) == "colour limit exceeded at B-vertex 0: meets 2 colours, limit 1"
+    assert max_mono_double_star_bipartite(g, 1, 2).value == 2
+
+
+def test_edge_index_refuses_a_loop():
+    with pytest.raises(ValueError) as exc:
+        edge_index(4, 1, 1)
+    assert str(exc.value) == "not an edge of K_4: (1, 1)"
