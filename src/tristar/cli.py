@@ -256,8 +256,7 @@ def _cmd_exhaust(args: argparse.Namespace) -> int:
             args.n, args.r, mode=args.mode, prove=args.prove,
             threads=args.threads, budget=args.budget, progress=progress)
     except BudgetExceededError as exc:
-        print(f"budget exhausted after {exc.processed} colourings; report is partial",
-              file=sys.stderr)
+        print(exc, file=sys.stderr)
         report = exc.partial
     sys.stdout.write(_format_exhaust(report))
     return 0 if report.ok and report.complete else 1

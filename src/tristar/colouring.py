@@ -33,7 +33,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ColouringFormatError
 
@@ -70,30 +70,6 @@ def bit_tuple(mask: int) -> tuple[int, ...]:
     return _SMALL_BITS[mask] if mask < 256 else tuple(iter_bits(mask))
 
 
-class _lazy:
-    """A value computed on its first read and stored in the instance's __dict__.
-
-    functools.cached_property without its lock, which on Python 3.11 and
-    earlier doubles the cost of every first read.  The stored value shadows
-    this non-data descriptor, so later reads are plain attribute reads and
-    `name in obj.__dict__` tells whether it has been computed.  Two threads
-    racing on a first read may both compute it; the values are equal.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class EdgeColouring:
     """A colour for every edge of K_n, with colour labels 1..m.
@@ -121,23 +97,25 @@ class EdgeColouring:
         `colour_masks` builds them, for colours 0..k with k <= m; the rows
         above k read as one shared empty row.
 
-        Nothing is built or checked: the view shares the caller's rows, so it
+        The view and the validation are set at construction, so no first
+        read of either runs later.  The view shares the caller's rows: it
         holds only while they still hold these colours.
         """
         colouring = cls(n, m, colours)
-        colouring.__dict__["view"] = _MaskView(n, m, masks)
+        colouring.__dict__.update(view=_MaskView(n, m, masks),
+                                  validation=_find_violations(colouring))
         return colouring
 
-    @_lazy
+    @cached_property
     def view(self) -> "ColourClassView":
         return ColourClassView(self)
 
-    @_lazy
+    @cached_property
     def validation(self) -> "ValidationReport":
         """What `validate` returns; checked once, since the record never changes."""
         return _find_violations(self)
 
-    @_lazy
+    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Component bit masks of each colour class, index c (index 0 empty).
 
@@ -146,7 +124,7 @@ class EdgeColouring:
         masks = self.view.masks
         return ((),) + tuple(tuple(component_masks(masks[c])) for c in range(1, self.m + 1))
 
-    @_lazy
+    @cached_property
     def labels(self) -> "LabelMatrix":
         """The label matrix: locality, and mask rows at C speed on large colourings."""
         return LabelMatrix(self)
@@ -231,7 +209,7 @@ class LabelMatrix:
         lo = (self.n - 1 - i) * self.n
         return [plane[lo:lo + self.n] for plane in self.planes]
 
-    @_lazy
+    @cached_property
     def row_labels(self) -> list[tuple[int, ...]]:
         """The distinct labels of each row, the diagonal's 0 left out.
 

@@ -45,4 +45,4 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, processed: int):
         self.processed = processed
         self.partial = None
-        super().__init__(f"budget exhausted after {processed} colourings; results are partial")
+        super().__init__(f"budget exhausted after {processed} colourings; report is partial")

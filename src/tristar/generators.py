@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .colouring import _MAX_M, _MAX_N, EdgeColouring
+from .colouring import _MAX_M, _MAX_N, EdgeColouring, _check_nr
 from .rng import SplitMix64
 
 
@@ -44,10 +44,7 @@ def _require_size(n: int) -> None:
 
 
 def _require_counts(n: int, r: int) -> None:
-    if n < 2:
-        raise ValueError(f"n >= 2 required, got {n}")
-    if r < 1:
-        raise ValueError(f"r >= 1 required, got {r}")
+    _check_nr(n, r)
     if r > _MAX_M:  # the most colours a colouring file or `validate` accepts
         raise ValueError(f"r = {r} too large: at most {_MAX_M} colours")
     _require_size(n)

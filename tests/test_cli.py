@@ -17,6 +17,7 @@ import tristar
 import tristar.oracle as oracle_module
 from tristar.cli import main
 from tristar.colouring import _MAX_M, EdgeColouring, edge_index, format_colouring, parse_colouring
+from tristar.errors import BudgetExceededError
 from tristar.explorer import objective
 from tristar.generators import (affine_colouring, constant_colouring, projective_local_colouring,
                                 random_colouring)
@@ -404,6 +405,15 @@ def test_exhaust_budget_partial_exits_1(capsys):
     assert "complete no" in out
     assert "colourings_checked 50" in out
 
+
+
+def test_a_budgeted_exhaust_writes_the_exceptions_one_sentence(capsys):
+    sentence = "budget exhausted after 7 colourings; report is partial"
+    assert str(BudgetExceededError(7)) == sentence
+    code, out, err = run(capsys, ["exhaust", "--n", "5", "--r", "3",
+                                  "--mode", "triple", "--budget", "7"])
+    assert code == 1 and err == sentence + "\n"
+    assert "complete no\ncolourings_checked 7\n" in out
 
 # sha256 of `exhaust` stdout, recorded before the scans stopped at the running
 # minimum and the masks were kept live along the walk: the minimum, the

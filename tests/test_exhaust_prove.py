@@ -12,6 +12,7 @@ from unittest.mock import patch
 
 import pytest
 
+import tristar.colouring as colouring_module
 import tristar.oracle as oracle_module
 from tristar.cli import main
 from tristar.colouring import EdgeColouring, edge_count, proven_floor
@@ -99,3 +100,13 @@ def test_prove_values_what_the_walk_without_prove_values(n, r, mode):
     # a settled prefix is valued once either way, and nothing inside it is
     calls = value_calls(n, r, mode, False)
     assert value_calls(n, r, mode, True) == calls < canonical_count(n, r)
+
+
+def test_each_proved_colouring_is_validated_exactly_once(monkeypatch):
+    # the walk's records get their validation at construction, one check each
+    calls = []
+    check = colouring_module._find_violations
+    monkeypatch.setattr(colouring_module, "_find_violations",
+                        lambda colouring: calls.append(colouring) or check(colouring))
+    report = exhaustive_theorem_check(5, 3, prove=True)
+    assert report.proved == len(calls) == 9842

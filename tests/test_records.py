@@ -11,11 +11,12 @@ library, so it also runs without pytest:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import pickle
 from fractions import Fraction
 
-from tristar.colouring import EdgeColouring
+from tristar.colouring import EdgeColouring, LabelMatrix, _find_violations, colour_masks
 from tristar.prover import ProofTrace, TripleStarCertificate
 from tristar.stars import DoubleStarWitness
 
@@ -108,6 +109,30 @@ def test_a_colouring_with_its_lazy_values_still_compares_and_pickles():
     back = pickle.loads(pickle.dumps(colouring))
     assert back == plain and back.view.masks == colouring.view.masks
     assert dataclasses.replace(colouring, m=4) == EdgeColouring(4, 4, plain.colours)
+
+
+def test_a_walk_built_colouring_holds_its_view_and_validation_from_construction():
+    # the second record declares m = 2 but uses label 3: the check still runs
+    for n, m, colours in ((4, 3, (1, 2, 3, 3, 2, 1)), (4, 2, (1, 2, 3, 3, 2, 1))):
+        masks = colour_masks(n, 3, colours)
+        colouring = EdgeColouring.on_masks(n, m, colours, masks)
+        assert "view" in colouring.__dict__ and "validation" in colouring.__dict__
+        assert colouring.view.masks[:4] == masks
+        assert colouring.validation == _find_violations(EdgeColouring(n, m, colours))
+    assert not colouring.validation.ok
+
+
+def test_the_lazy_attributes_are_cached_properties_computed_on_the_first_read():
+    assert all(isinstance(vars(cls)[name], functools.cached_property)
+               for cls, name in ((EdgeColouring, "view"), (EdgeColouring, "validation"),
+                                 (EdgeColouring, "components"), (EdgeColouring, "labels"),
+                                 (LabelMatrix, "row_labels")))
+    colouring = build(*EXAMPLES[0], False)
+    assert "view" not in colouring.__dict__
+    for name in ("view", "validation", "components", "labels"):
+        first = getattr(colouring, name)
+        assert name in colouring.__dict__ and getattr(colouring, name) is first
+    assert colouring.labels.row_labels is colouring.labels.row_labels
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from tristar.colouring import (EdgeColouring, _find_violations, component_bound,
                                edge_index, no_affine_component_bound, parse_colouring,
                                proven_floor, triple_star_bound, triple_star_bound_local, validate)
 from tristar.errors import ColouringFormatError
-from tristar.generators import random_colouring
+from tristar.generators import constant_colouring, random_colouring
 from tristar.oracle import EnumerationSpec, canonical_count, enumerate_colourings
 
 # each floor with the least r it accepts and its refusal of r = least - 1
@@ -62,6 +62,19 @@ def test_the_registry_refuses_n_below_2_and_r_below_1_in_the_shared_words(ask):
             ask(n, r)
         assert str(exc.value) == message
 
+
+
+def test_the_generators_refuse_n_below_2_and_r_below_1_in_the_registrys_words(capsys):
+    for n, r, message in ((1, 3, "n >= 2 required, got n=1"),
+                          (5, 0, "r >= 1 required, got r=0")):
+        for make in (lambda: random_colouring(n, r, seed=0), lambda: constant_colouring(n, r)):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == message
+        for kind in (["random", "--seed", "0"], ["constant"]):
+            assert main(["gen", *kind, "--n", str(n), "--r", str(r)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 def body_with(n: int, m: int, k: int, label: int) -> str:
     """A valid random colouring's file with edge position k relabelled."""
