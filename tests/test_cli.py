@@ -406,7 +406,6 @@ def test_exhaust_budget_partial_exits_1(capsys):
     assert "colourings_checked 50" in out
 
 
-
 def test_a_budgeted_exhaust_writes_the_exceptions_one_sentence(capsys):
     sentence = "budget exhausted after 7 colourings; report is partial"
     assert str(BudgetExceededError(7)) == sentence
@@ -414,6 +413,7 @@ def test_a_budgeted_exhaust_writes_the_exceptions_one_sentence(capsys):
                                   "--mode", "triple", "--budget", "7"])
     assert code == 1 and err == sentence + "\n"
     assert "complete no\ncolourings_checked 7\n" in out
+
 
 # sha256 of `exhaust` stdout, recorded before the scans stopped at the running
 # minimum and the masks were kept live along the walk: the minimum, the

@@ -63,7 +63,6 @@ def test_the_registry_refuses_n_below_2_and_r_below_1_in_the_shared_words(ask):
         assert str(exc.value) == message
 
 
-
 def test_the_generators_refuse_n_below_2_and_r_below_1_in_the_registrys_words(capsys):
     for n, r, message in ((1, 3, "n >= 2 required, got n=1"),
                           (5, 0, "r >= 1 required, got r=0")):
@@ -75,6 +74,7 @@ def test_the_generators_refuse_n_below_2_and_r_below_1_in_the_registrys_words(ca
             assert main(["gen", *kind, "--n", str(n), "--r", str(r)]) == 2
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 def body_with(n: int, m: int, k: int, label: int) -> str:
     """A valid random colouring's file with edge position k relabelled."""
