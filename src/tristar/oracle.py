@@ -198,7 +198,7 @@ def _iter_rgs(length: int, r: int, prefix: tuple[int, ...] = ()) -> Iterator[lis
 
 
 def _walk(n: int, r: int, prefix: tuple[int, ...],
-          settled: Callable[[list[list[int]]], bool] | None
+          settled: Callable[[list[list[int]]], bool]
           ) -> Iterator[tuple[list[int], list[list[int]], int, int]]:
     """Depth-first walk of the restricted-growth strings over the row-major
     edges of K_n that extend `prefix`, settling whole subtrees where asked.
@@ -207,11 +207,11 @@ def _walk(n: int, r: int, prefix: tuple[int, ...],
     holds its colour masks, with min(r, C(n,2)) colours.  depth = C(n,2)
     marks a full string; the full strings come in _iter_rgs order.  Every
     prefix longer than `prefix` that the walk enters after the first full
-    string goes to `settled` (None settles none).  a is then the prefix and
-    0 after it, so a.index(0) is the prefix's depth, and masks its colour
-    masks.  When `settled` returns true, the prefix is yielded in place of
-    its whole subtree, with a[depth:] still all 0, and the walk moves on to
-    the next sibling; when false, the walk enters the subtree.  Both a and
+    string goes to `settled`.  a is then the prefix and 0 after it, so
+    a.index(0) is the prefix's depth, and masks its colour masks.  When
+    `settled` returns true, the prefix is yielded in place of its whole
+    subtree, with a[depth:] still all 0, and the walk moves on to the next
+    sibling; when false, the walk enters the subtree.  Both a and
     masks are reused buffers, moved one edge at a time: a label change
     swaps that edge's bits between two colours, a step back clears them.
     """
@@ -227,22 +227,21 @@ def _walk(n: int, r: int, prefix: tuple[int, ...],
         return
     k = last = length - 1
     i, j = n - 2, n - 1  # the ends of edge k
-    bi, bj = 1 << i, 1 << j
     while True:
         old = a[k]
         if old:
             row = masks[old]
-            row[i] ^= bj
-            row[j] ^= bi
+            row[i] ^= 1 << j
+            row[j] ^= 1 << i
         if old < r and old <= tops[k]:  # old + 1 is a legal label here
             new = a[k] = old + 1
             row = masks[new]
-            row[i] |= bj
-            row[j] |= bi
+            row[i] |= 1 << j
+            row[j] |= 1 << i
             tops[k + 1] = new if new > tops[k] else tops[k]
             if k == last:
                 yield a, masks, length, tops[length]
-            elif settled is not None and settled(masks):
+            elif settled(masks):
                 yield a, masks, k + 1, tops[k + 1]
             else:  # enter the subtree at edge k + 1, label 0 for now
                 k += 1
@@ -250,8 +249,6 @@ def _walk(n: int, r: int, prefix: tuple[int, ...],
                 if j == n:
                     i += 1
                     j = i + 1
-                    bi = 1 << i
-                bj = 1 << j
         else:  # every label tried: step back to edge k - 1
             a[k] = 0
             if k == start:
@@ -261,19 +258,17 @@ def _walk(n: int, r: int, prefix: tuple[int, ...],
             if j == i:
                 i -= 1
                 j = n - 1
-                bi = 1 << i
-            bj = 1 << j
 
 
 def _walk_masks(n: int, r: int,
                 prefix: tuple[int, ...]) -> Iterator[tuple[list[int], list[list[int]]]]:
     """(a, masks) for every restricted-growth string a extending `prefix`, as _iter_rgs yields it.
 
-    The walk with no cuts: masks are the colour masks of a over the
-    row-major edges of K_n, with min(r, C(n,2)) colours, and both are reused
-    buffers.
+    The walk whose settle test never settles: masks are the colour masks of
+    a over the row-major edges of K_n, with min(r, C(n,2)) colours, and both
+    are reused buffers.
     """
-    return ((a, masks) for a, masks, _, _ in _walk(n, r, prefix, None))
+    return ((a, masks) for a, masks, _, _ in _walk(n, r, prefix, lambda masks: False))
 
 
 def enumerate_colourings(spec: EnumerationSpec) -> Iterator[EdgeColouring]:

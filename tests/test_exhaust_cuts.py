@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 
 import tristar.oracle as oracle_module
 from tristar.cli import main
-from tristar.colouring import EdgeColouring, edge_count, proven_floor
+from tristar.colouring import EdgeColouring, colour_masks, edge_count, proven_floor
 from tristar.errors import BudgetExceededError, TheoremViolation
-from tristar.oracle import (ExhaustReport, _completion_counts, _scan_chunk, _value_fn, _walk,
-                            _walk_masks, brute_max_double_star, brute_max_triple_star,
-                            canonical_count, exhaustive_theorem_check)
-from tristar.prover import prove_global, verify_certificate
+from tristar.oracle import (ExhaustReport, _completion_counts, _scan_chunk, _split_prefixes,
+                            _value_fn, _walk, _walk_masks, brute_max_double_star,
+                            brute_max_triple_star, canonical_count, exhaustive_theorem_check)
+from tristar.prover import VerificationReport, prove_global, verify_certificate
 
 MODES = ("triple", "double", "component")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -196,6 +196,28 @@ def test_leaves_and_settled_subtrees_cover_every_colouring(space, seed, rate):
     assert total == canonical_count(n, r)
 
 
+def test_a_settle_test_sees_exactly_its_prefixs_masks():
+    # Each prefix handed to `settled` comes with the colour masks of that
+    # prefix alone: the labels after it are 0 and hold no bit in any row.
+    rnd = random.Random(5)
+    starts = [(n, r, ()) for n, r in ((4, 3), (5, 3), (5, 4), (6, 2))]
+    starts += [(5, 4, prefix) for prefix in _split_prefixes(5, 4, 2)]
+    for n, r, prefix in starts:
+        checks = 0
+
+        def settled(masks):
+            nonlocal checks
+            assert masks == colour_masks(n, min(r, edge_count(n)), a[:a.index(0)])
+            checks += 1
+            return rnd.random() < 0.3
+
+        walk = _walk(n, r, prefix, settled)
+        a = next(walk)[0]
+        for _ in walk:
+            pass
+        assert checks > 0, (n, r, prefix)
+
+
 def test_completion_counts_stop_at_the_cap():
     exact = _completion_counts(4, None)
     for cap in (1, 2, 5, 100, 10 ** 6):
@@ -284,3 +306,31 @@ def test_exhaust_at_the_largest_n_stays_small(mode):
     assert run["sha"] == digest
     assert run["rss_mib"] < 200
     assert run["cpu_s"] < cpu_s
+
+
+def reject_every_certificate(colouring, cert):
+    return VerificationReport(("forced",))
+
+
+def refuse_every_proof(colouring, r):
+    raise TheoremViolation("forced", colouring)
+
+
+@pytest.mark.parametrize("target, stand_in",
+                         [("verify_certificate", reject_every_certificate),
+                          ("prove_global", refuse_every_proof)],
+                         ids=["rejected-certificate", "theorem-violation"])
+def test_prove_counts_each_failed_proof_as_a_violation(monkeypatch, target, stand_in):
+    # threads=1 keeps the scan in this process, where the patch reaches it
+    monkeypatch.setattr(oracle_module, target, stand_in)
+    report = exhaustive_theorem_check(4, 3, prove=True, threads=1)
+    assert report.violation_count == canonical_count(4, 3) == 122
+    assert report.proved == 0
+    assert not report.ok
+    assert len(report.violations) == 5
+
+
+def test_exhaust_prove_exits_1_when_a_certificate_is_rejected(monkeypatch, capsys):
+    monkeypatch.setattr(oracle_module, "verify_certificate", reject_every_certificate)
+    assert main(["exhaust", "--n", "4", "--r", "3", "--mode", "triple", "--prove"]) == 1
+    assert "violations 122\n" in capsys.readouterr().out

@@ -19,8 +19,9 @@ from tristar.colouring import (EdgeColouring, _find_violations, component_bound,
                                edge_index, no_affine_component_bound, parse_colouring,
                                proven_floor, triple_star_bound, triple_star_bound_local, validate)
 from tristar.errors import ColouringFormatError
-from tristar.generators import constant_colouring, random_colouring
-from tristar.oracle import EnumerationSpec, canonical_count, enumerate_colourings
+from tristar.generators import constant_colouring, line_through, random_colouring
+from tristar.oracle import EnumerationSpec, _iter_rgs, _walk, canonical_count, enumerate_colourings
+from tristar.stars import triple_star_order
 
 # each floor with the least r it accepts and its refusal of r = least - 1
 FLOORS = [
@@ -174,3 +175,28 @@ def test_edge_index_refuses_a_loop():
     with pytest.raises(ValueError) as exc:
         edge_index(4, 1, 1)
     assert str(exc.value) == "not an edge of K_4: (1, 1)"
+
+
+@pytest.mark.parametrize("ask, message", [
+    (lambda: list(_iter_rgs(0, 3)), "need length >= 1 and r >= 1"),
+    (lambda: list(_iter_rgs(3, 2, (1, 1, 1, 1))), "prefix longer than the string"),
+    (lambda: list(_iter_rgs(3, 2, (2,))), "prefix not restricted-growth at position 0: 2"),
+    (lambda: list(_walk(3, 2, (1, 3), lambda masks: False)),
+     "prefix not restricted-growth at position 1: 3"),
+], ids=["empty-string", "long-prefix", "first-label", "walk-prefix"])
+def test_the_enumerators_refuse_a_bad_string_or_prefix_in_their_own_words(ask, message):
+    with pytest.raises(ValueError) as exc:
+        ask()
+    assert str(exc.value) == message
+
+
+def test_a_line_needs_two_directions():
+    with pytest.raises(ValueError) as exc:
+        line_through((0, 0, 1), (0, 0, 1), 3)
+    assert str(exc.value) == "zero vector has no direction"
+
+
+def test_a_triple_star_order_refuses_a_path_off_its_colour():
+    with pytest.raises(ValueError) as exc:
+        triple_star_order(EdgeColouring(4, 2, (1, 1, 2, 2, 2, 2)), 1, 1, 0, 3)
+    assert str(exc.value) == "path edge not in colour: {0,3} is not colour 1"
