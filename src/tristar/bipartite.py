@@ -127,17 +127,12 @@ class MonoCentreEdge:
     value: int  # d_c(a) + d_c(b)
 
 
-def max_double_star_bipartite(graph: BipartiteColouredGraph,
-                              ignore_colours: bool = True) -> CentreEdge:
+def max_double_star_bipartite(graph: BipartiteColouredGraph) -> CentreEdge:
     """Best centre edge by total degrees d(a) + d(b); ties to smallest (a, b).
 
     The value always meets lemma1_bound for this graph.  Colours play no
-    role here; passing a coloured graph demands ignore_colours=True as an
-    explicit acknowledgment (otherwise use the monochromatic finder).
+    role here (the monochromatic finder is max_mono_double_star_bipartite).
     """
-    if not ignore_colours and graph.m > 0 and any(any(row) for row in graph.layers[1:]):
-        raise ValueError("graph carries colours; pass ignore_colours=True "
-                         "or use max_mono_double_star_bipartite")
     joined = [0] * graph.a_size
     for layer in graph.layers:  # a pair carries one edge, so these are the total degrees
         joined = list(map(int.__or__, joined, layer))

@@ -36,7 +36,7 @@ class TheoremViolation(Exception):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration hit its colouring budget; results so far are partial.
+    """The exhaustive walk hit its colouring budget; results so far are partial.
 
     `partial` is set by the caller to the report it accumulated before the
     budget ran out (None until then), so incomplete findings can be surfaced.

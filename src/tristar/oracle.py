@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, product, repeat
+from itertools import chain, repeat
 from multiprocessing import Pool
 from typing import Callable, Iterator
 
@@ -104,8 +104,6 @@ def brute_max_triple_star(colouring: EdgeColouring) -> TripleStarWitness | None:
 class EnumerationSpec:
     n: int
     r: int
-    canonical: bool = True
-    budget: int | None = None
 
 
 def canonical_count(n: int, r: int) -> int:
@@ -239,9 +237,7 @@ def _walk(n: int, r: int, prefix: tuple[int, ...],
             row[i] |= 1 << j
             row[j] |= 1 << i
             tops[k + 1] = new if new > tops[k] else tops[k]
-            if k == last:
-                yield a, masks, length, tops[length]
-            elif settled(masks):
+            if k == last or settled(masks):
                 yield a, masks, k + 1, tops[k + 1]
             else:  # enter the subtree at edge k + 1, label 0 for now
                 k += 1
@@ -272,20 +268,11 @@ def _walk_masks(n: int, r: int,
 
 
 def enumerate_colourings(spec: EnumerationSpec) -> Iterator[EdgeColouring]:
-    """Stream every r-colouring of K_n; canonical mode quotients colour relabelling.
-
-    Raises BudgetExceededError after yielding `budget` colourings if more
-    remain, so consumers can trust a clean finish to mean a complete pass.
-    """
+    """Stream every r-colouring of K_n up to colour relabelling, in _iter_rgs order."""
     if spec.n < 2 or spec.r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    length = spec.n * (spec.n - 1) // 2
-    stream = (_iter_rgs(length, spec.r) if spec.canonical
-              else product(range(1, spec.r + 1), repeat=length))
-    for values in islice(stream, spec.budget):
+    for values in _iter_rgs(spec.n * (spec.n - 1) // 2, spec.r):
         yield EdgeColouring(spec.n, spec.r, tuple(values))
-    for _ in stream:
-        raise BudgetExceededError(spec.budget)
 
 
 # --- exhaustive theorem checks ----------------------------------------------
@@ -493,12 +480,10 @@ def _scan_chunk(n: int, r: int, mode: str, prove: bool, floor: Q | None,
                                            settled_under_prove if prove else settled):
             if depth < length:  # a settled prefix, without prove
                 cover(completions(length - depth, used))
-            elif inside:  # a colouring under a settled prefix, under prove
-                cover(1)
-                record(tuple(a), masks, False)
             else:
                 cover(1)
-                value = value_of(masks, n, top, stop)
+                # after the first leaf stop >= best, and stop >= threshold when there is one
+                value = stop if inside else value_of(masks, n, top, stop)
                 if value < best:
                     best = value
                     best_colours = tuple(a)

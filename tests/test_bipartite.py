@@ -87,12 +87,18 @@ def test_lemma1_holds_on_random_graphs():
         assert g.degree_a(centre.a) + g.degree_b(centre.b) == centre.value
 
 
-def test_max_double_star_bipartite_refuses_hidden_colours():
-    g = BipartiteColouredGraph.from_coloured_edges(2, 2, 2, [(0, 0, 1)])
-    with pytest.raises(ValueError, match="carries colours"):
-        max_double_star_bipartite(g, ignore_colours=False)
-    plain = BipartiteColouredGraph.from_plain_edges(2, 2, [(0, 0)])
-    assert max_double_star_bipartite(plain, ignore_colours=False).value == 2
+def test_max_double_star_bipartite_is_blind_to_colours():
+    # a coloured graph and the plain copy of its edges share one centre edge
+    rng = random.Random(909)
+    for trial in range(200):
+        a, b, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(2, 4)
+        triples = [(x, y, rng.randint(1, m)) for x in range(a) for y in range(b)
+                   if rng.random() < 0.5]
+        if not triples:
+            continue
+        coloured = BipartiteColouredGraph.from_coloured_edges(a, b, m, triples)
+        plain = BipartiteColouredGraph.from_plain_edges(a, b, [(x, y) for x, y, _ in triples])
+        assert max_double_star_bipartite(coloured) == max_double_star_bipartite(plain)
 
 
 def test_no_edges_raises():

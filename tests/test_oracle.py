@@ -295,25 +295,6 @@ def test_canonical_enumeration_matches_count_and_growth_rule():
     assert len(seen) == canonical_count(4, 3)
 
 
-def test_non_canonical_enumeration_is_the_full_product():
-    spec = EnumerationSpec(4, 2, canonical=False)
-    got = {c.colours for c in enumerate_colourings(spec)}
-    assert len(got) == 2 ** 6
-
-
-def test_enumeration_budget_raises_partial_error():
-    spec = EnumerationSpec(5, 3, budget=10)
-    seen = []
-    with pytest.raises(BudgetExceededError) as err:
-        for c in enumerate_colourings(spec):
-            seen.append(c)
-    assert len(seen) == 10
-    assert err.value.processed == 10
-    # a budget that covers the whole space does not trigger
-    spec = EnumerationSpec(3, 2, budget=4)
-    assert len(list(enumerate_colourings(spec))) == 4
-
-
 def test_prefix_split_partitions_the_space():
     prefixes = _split_prefixes(4, 3, threads=3)
     assert len(prefixes) >= 3
