@@ -89,8 +89,8 @@ def test_lemma1_holds_on_random_graphs():
 
 def test_max_double_star_bipartite_is_blind_to_colours():
     # a coloured graph and the plain copy of its edges share one centre edge
-    rng = random.Random(909)
-    for trial in range(200):
+    rng = random.Random(1717)
+    for _ in range(200):
         a, b, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(2, 4)
         triples = [(x, y, rng.randint(1, m)) for x in range(a) for y in range(b)
                    if rng.random() < 0.5]
