@@ -12,6 +12,11 @@ the bipartite module.  Here sums are only upper bounds: d_c(x) + d_c(y) lets
 the double scan skip colours, centres and partners, and d + 1 + g(u) + g(w)
 ends the triple scan's pairs u, w of a middle x, with d = d_c(x) and the gain
 g(v) = |N_c(v) - N_c(x)| - 1 of a leaf v (x is in N_c(v) but counts once).
+As g(v) <= d_c(v) - 1, the triple scan also skips a middle whose
+d + D1 + D2 - 1 cannot reach the best, with D1 >= D2 the colour's two
+largest degrees, and ranks only the leaves v with d_c(v) >= best - d - D1 + 1.
+Both scans read a colour's degrees, one popcount per row, only once its
+largest component has not skipped it.
 
 Each structure has one scan, which keeps the first maximum under a fixed
 tie-break.  It skips only candidates that an exact upper bound shows can
@@ -102,8 +107,10 @@ SINGLE_EDGE = 2
 # (about 2d popcounts and a sort of d gains against C(d, 2) paths; sorting
 # smaller middles too made a K_6 walk twice as slow), and the double scan
 # takes a colour's component and degree caps only once the best double star
-# has more than _BOUND_DEGREE vertices.  Neither fires on a K_n with
-# n <= _BOUND_DEGREE.
+# has more than _BOUND_DEGREE vertices.  The triple scan reads a colour's
+# component and degrees at its first bounded middle, for the caps
+# d + D1 + D2 - 1 on a middle and best - d - D1 + 1 on a leaf's degree.
+# Neither scan bounds anything on a K_n with n <= _BOUND_DEGREE.
 _BOUND_DEGREE = 6
 
 
@@ -112,27 +119,14 @@ def _largest_component(row: list[int]) -> int:
     return max((comp.bit_count() for comp in component_masks(row)), default=0)
 
 
-def _double_bounds(row: list[int], best: int) -> tuple[int, list[int], int, list[int], list[int]]:
-    """(cap, deg, dmax, levels, at_least): what bounds the double stars of one colour.
+def _degree_levels(deg: list[int], floor: int) -> tuple[list[int], list[int]]:
+    """(levels, at_least): the degrees above `floor` and the vertices that reach each.
 
-    |N(x) | N(y)| <= d(x) + d(y), so no double star of the colour is larger
-    than its two largest degrees summed, nor than its largest component.
-    `cap` is the smaller of the two; the component is taken first, so a
-    colour that it alone skips (every colour after the first of a plane
-    colouring) reads no degrees.  `deg` holds every degree and `dmax` the
-    largest.  `levels` lists, in ascending order, the degrees above
-    best - dmax, below which no vertex is a partner that can beat the best;
-    `at_least[i]` is the mask of vertices of degree >= levels[i], and a last
-    0 closes the list.  When cap <= best the rest is left empty.
+    `levels` lists the degrees above floor in ascending order, and
+    `at_least[i]` is the mask of vertices of degree >= levels[i]; a last 0
+    closes the list, so for k > floor, at_least[bisect_left(levels, k)]
+    holds the vertices of degree >= k.
     """
-    cap = _largest_component(row)
-    if cap > best:
-        deg = list(map(int.bit_count, row))
-        dmax = max(deg)
-        cap = min(cap, dmax + (dmax if deg.count(dmax) > 1 else sorted(deg)[-2]))
-    if cap <= best:
-        return cap, [], 0, [], [0]
-    floor = best - dmax
     buckets: dict[int, int] = {}
     for v, d in enumerate(deg):
         if d > floor:
@@ -143,7 +137,29 @@ def _double_bounds(row: list[int], best: int) -> tuple[int, list[int], int, list
     for i in range(len(levels) - 1, -1, -1):
         acc |= buckets[levels[i]]
         at_least[i] = acc
-    return cap, deg, dmax, levels, at_least
+    return levels, at_least
+
+
+def _double_bounds(row: list[int], best: int) -> tuple[int, list[int], int, list[int], list[int]]:
+    """(cap, deg, dmax, levels, at_least): what bounds the double stars of one colour.
+
+    |N(x) | N(y)| <= d(x) + d(y), so no double star of the colour is larger
+    than its two largest degrees summed, nor than its largest component.
+    `cap` is the smaller of the two; the component is taken first, so a
+    colour that it alone skips (every colour after the first of a plane
+    colouring) reads no degrees.  `deg` holds every degree and `dmax` the
+    largest.  `levels` and `at_least` are `_degree_levels` of the degrees
+    above best - dmax, below which no vertex is a partner that can beat the
+    best.  When cap <= best the rest is left empty.
+    """
+    cap = _largest_component(row)
+    if cap > best:
+        deg = list(map(int.bit_count, row))
+        dmax = max(deg)
+        cap = min(cap, dmax + (dmax if deg.count(dmax) > 1 else sorted(deg)[-2]))
+    if cap <= best:
+        return cap, [], 0, [], [0]
+    return cap, deg, dmax, *_degree_levels(deg, best - dmax)
 
 
 def _double_scan(masks: list[list[int]], n: int, m: int, stop: int) -> tuple[int, int, int, int]:
@@ -209,13 +225,25 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
     are the best's and its w is smaller.
 
     A middle of colour degree d < _BOUND_DEGREE visits u < w.  A larger one
-    is skipped when the colour's largest component or its ball of radius 2
-    cannot beat the best, or tie it and win; otherwise its leaf pairs go by
-    gain, largest first, and both loops break once d + 1 + g(u) + g(w) falls
-    below `need`: the best, one more in a later colour (no tie wins there),
-    or, after a pair reaches stop, stop, when only a smaller (u, w) counts.
+    is bounded against `need`: the best, one more in a later colour (no tie
+    wins there), or, after a pair reaches stop, stop, when only a smaller
+    (u, w) counts.  At the colour's first bounded middle its largest
+    component is taken, and unless that ends the colour, its degrees d(v):
+    one popcount per row, kept as the two largest, D1 >= D2, and as degree
+    level masks.  As g(v) <= d(v) - 1, no path through x is larger than
+    d + D1 + D2 - 1, so a middle below need is skipped before its leaves are
+    listed, and only the leaves with d(v) >= need - d - D1 + 1 are kept.
+    The middle is skipped when fewer than two remain, or when the ball of
+    radius 2 through them cannot beat the best, or tie it and win;
+    otherwise its kept leaf pairs go by gain, largest first, and both loops
+    break once d + 1 + g(u) + g(w) falls below need.  Inside a middle need
+    never falls below its value on entry, which is at most stop, so the
+    leaves kept on entry hold every pair that can still replace the best.
     """
     best = best_c = best_u = best_x = best_w = 0
+    full = (1 << n) - 1
+    shift = n.bit_length()
+    low = (1 << shift) - 1
     for c in range(1, m + 1):
         row = masks[c]
         cap = 0  # not taken yet
@@ -224,8 +252,8 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
             d = nb.bit_count()
             if d < 2:
                 continue
-            hood = list(iter_bits(nb))
             if d < _BOUND_DEGREE:
+                hood = bit_tuple(nb)
                 for a in range(d - 1):
                     u = hood[a]
                     mu = row[u] | nb
@@ -243,19 +271,27 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
                 cap = _largest_component(row)
                 if cap < best or cap == best and c != best_c:
                     break
+                deg = list(map(int.bit_count, row))
+                d2, d1 = sorted(deg)[-2:]
+                # need >= best and d <= D1 keep every leaf floor above best - 2 * D1
+                levels, at_least = _degree_levels(deg, best - 2 * d1)
+            need = best + (c != best_c)  # the least order that can replace the best
+            if d + d1 + d2 - 1 < need:
+                continue
+            hood = list(iter_bits(nb & at_least[bisect_left(levels, need - d - d1 + 1)]))
+            if len(hood) < 2:
+                continue
             ball = nb
             for v in hood:
                 ball |= row[v]
             reach = ball.bit_count()
             if reach < best or reach == best and (c != best_c or hood[0] >= best_u):
                 continue
-            # -|N(v) - N(x)| << shift | v for each leaf v: by gain, largest first
-            shift = n.bit_length()
-            low = (1 << shift) - 1
-            ranked = sorted([-(row[v] & ~nb).bit_count() << shift | v for v in hood])
+            # -|N(v) - N(x)| << shift | v for each kept leaf v: by gain, largest first
+            off = full ^ nb
+            ranked = sorted([-(row[v] & off).bit_count() << shift | v for v in hood])
             leaves = [k & low for k in ranked]
-            need = best + (c != best_c)  # the least order that can replace the best
-            for i in range(d - 1):
+            for i in range(len(leaves) - 1):
                 # the leaves w after u with d + 1 + g(u) + g(w) >= need
                 end = bisect_left(ranked, d - need - (ranked[i] >> shift) << shift, i + 1)
                 if end == i + 1:

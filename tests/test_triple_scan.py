@@ -1,4 +1,4 @@
-"""The triple-star scan's gain bound against scans that skip nothing.
+"""The triple-star scan's gain bound and degree caps against scans that skip nothing.
 
 A middle x of colour degree d >= 6 visits its leaf pairs by the gains
 g(v) = |N(v) - N(x)| - 1 of its leaves, largest first, and stops once
@@ -7,6 +7,12 @@ same gain, each leaf with its own outer neighbours, put that bound exactly
 at the best, where a bound off by one, a tie taken in the wrong order or a
 stop taken at the first pair found instead of the first in scan order would
 change the result.
+
+As g(v) <= d(v) - 1, the scan also skips a middle whose d + D1 + D2 - 1
+(D1 >= D2 the colour's two largest degrees) is below the best, and keeps
+only the leaves with d(v) >= best - d - D1 + 1.  Sparse random colourings
+and skewed palettes make both caps fire; paths whose order meets them
+exactly check that neither is off by one.
 """
 from __future__ import annotations
 
@@ -16,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tristar import stars
 from tristar.colouring import EdgeColouring, edge_count, edge_index
-from tristar.generators import random_colouring
+from tristar.generators import affine_colouring, projective_local_colouring, random_colouring
 from tristar.oracle import brute_max_triple_star
-from tristar.stars import _triple_scan, max_triple_star
+from tristar.stars import _BOUND_DEGREE, _triple_scan, max_triple_star
 
 EXAMPLES = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -123,3 +130,116 @@ def test_witness_equals_the_brute_force_witness(colouring):
     else:
         assert (slow.colour, slow.centres, slow.order, slow.vertices) == \
                (fast.colour, fast.centres, fast.order, fast.vertices)
+
+
+# r = 8-12 at n = 60-100: colour degrees near n/r put d + D1 + D2 - 1 below
+# the best for many middles, and the leaf floor drops leaves from most of
+# the rest.
+SPARSE = [(60, 8, 0), (70, 9, 1), (80, 10, 2), (90, 11, 3), (100, 12, 4)]
+
+
+@pytest.mark.parametrize("n, r, seed", SPARSE, ids=[f"n{n}-r{r}" for n, r, _ in SPARSE])
+def test_sparse_random_scan_equals_the_plain_scan_at_every_stop(n, r, seed):
+    assert_scan_matches_at_every_stop(random_colouring(n, r, seed))
+
+
+@st.composite
+def skewed_colourings(draw) -> EdgeColouring:
+    """n in 20..48 with 2 to 12 colours of weights 1 to 1024: degrees that differ by colour."""
+    n = draw(st.integers(20, 48))
+    m = draw(st.integers(2, 12))
+    weights = [2 ** k for k in draw(st.lists(st.integers(0, 10), min_size=m, max_size=m))]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return EdgeColouring(n, m, tuple(rng.choices(range(1, m + 1), weights, k=edge_count(n))))
+
+
+@EXAMPLES
+@given(colouring=skewed_colourings())
+def test_skewed_palette_scan_equals_the_plain_scan_at_every_stop(colouring):
+    assert_scan_matches_at_every_stop(colouring)
+
+
+def relabelled(colouring: EdgeColouring, seed: int) -> EdgeColouring:
+    """The colouring with its vertices and its colours shuffled."""
+    rng = random.Random(seed)
+    n, m = colouring.n, colouring.m
+    place = list(range(n))
+    hue = list(range(1, m + 1))
+    rng.shuffle(place)
+    rng.shuffle(hue)
+    colours = [0] * edge_count(n)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            colours[edge_index(n, place[i], place[j])] = hue[colouring.colour_of(i, j) - 1]
+    return EdgeColouring(n, m, tuple(colours))
+
+
+PLANES = [(affine_colouring, 3, 3), (affine_colouring, 5, 2), (projective_local_colouring, 2, 3),
+          (projective_local_colouring, 3, 2), (projective_local_colouring, 5, 1)]
+
+
+@pytest.mark.parametrize("plane, q, mult", PLANES,
+                         ids=[f"{plane.__name__.split('_')[0]}-q{q}-x{mult}"
+                              for plane, q, mult in PLANES])
+def test_relabelled_plane_scan_equals_the_plain_scan_at_every_stop(plane, q, mult):
+    assert_scan_matches_at_every_stop(relabelled(plane(q, mult), q * 10 + mult))
+
+
+@st.composite
+def tight_colourings(draw) -> EdgeColouring:
+    """Paths u - x - w of order exactly d + d(u) + d(w) - 1, in colours 1 and 2.
+
+    In each of the two colours, a middle x of degree d >= 6 has two leaves
+    u and w with the colour's two largest degrees, d(u), d(w) >= d, and
+    neighbourhoods of their own; the other leaves and outer neighbours have
+    degree 1.  Colour 1's path has order T - 1 and colour 2's order T, so
+    colour 2's middle is met with the best at T - 1 and reaches it only
+    through a cap that is exact; colour 3 takes every other edge.
+    """
+    d = draw(st.integers(_BOUND_DEGREE, 8))
+    a = draw(st.integers(d, d + 3))
+    b = draw(st.integers(d + 1, d + 3))
+    spare = draw(st.integers(0, 6))
+    sizes = [(d, a, b - 1), (d, a, b)]
+    n = sum(d + a + b - 1 for d, a, b in sizes) + spare
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    colours = [3] * edge_count(n)
+    free = rng.sample(range(n), n)
+    for c, (d, a, b) in enumerate(sizes, 1):
+        x, *rest = free[:d + a + b - 1]
+        del free[:d + a + b - 1]
+        leaves, outer = rest[:d], rest[d:]
+        for v in leaves:
+            colours[edge_index(n, x, v)] = c
+        u, w = rng.sample(leaves, 2)
+        for v, p in zip([u] * (a - 1) + [w] * (b - 1), outer):
+            colours[edge_index(n, v, p)] = c
+    return EdgeColouring(n, 3, tuple(colours))
+
+
+@EXAMPLES
+@given(colouring=tight_colourings())
+def test_tight_caps_scan_equals_the_plain_scan_at_every_stop(colouring):
+    assert_scan_matches_at_every_stop(colouring)
+
+
+def test_degree_caps_skip_middles_and_leaves(monkeypatch):
+    # the scan lists the leaves of a bounded middle through iter_bits, and
+    # only of a middle that the degree caps do not skip: fewer listings than
+    # bounded middles show the middle skip, and a listed mask that is no
+    # neighbourhood shows the leaf floor
+    colouring = random_colouring(100, 12, 4)
+    n, m, masks = colouring.n, colouring.m, colouring.view.masks
+    listed = []
+    real = stars.iter_bits
+
+    def listing(mask):
+        listed.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(stars, "iter_bits", listing)
+    assert _triple_scan(masks, n, m, n + 1) == plain_scan(every_path(masks, n, m), n + 1)
+    bounded = [masks[c][x] for c in range(1, m + 1) for x in range(n)
+               if masks[c][x].bit_count() >= _BOUND_DEGREE]
+    assert 0 < len(listed) < len(bounded) // 2
+    assert set(listed) - set(bounded)
