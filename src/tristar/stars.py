@@ -25,10 +25,11 @@ the result is the one a scan over every candidate gives.  The witness
 finders and the order-only kernels are thin wrappers over it, so results
 are deterministic and the two always agree.
 
-A scan also takes a `stop` order.  Below it the result is exact; once the
-best reaches it the scan returns the first candidate in scan order whose
-order is >= stop, which may fall short of the maximum; the triple scan
-first ends the middle that reached stop, whose pairs it visits by gain.  An
+A scan also takes a `stop` order.  Below it the result is exact; at the
+first candidate whose order is >= stop the scan returns that candidate,
+which may fall short of the maximum.  The double and component scans
+return the first such candidate in scan order; the triple scan visits a
+bounded middle's pairs by gain, so its path need not be the first.  An
 exhaustive check that only asks whether a colouring's maximum falls below
 the running minimum passes that minimum.  The largest-component scan takes
 the same `stop`.
@@ -218,27 +219,26 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
                  stop: int) -> tuple[int, int, int, int, int]:
     """(order, c, u, x, w) of the maximum triple star with the smallest (c, u, x, w).
 
-    Order 0 when no colour admits a two-edge path.  Once the best reaches
-    `stop`, returns the first path of order >= stop in scan order: colour,
-    middle x, then u < w.  A later path in the same colour that ties the
-    best precedes it in key order when its u is smaller, or when its u and x
-    are the best's and its w is smaller.
+    Order 0 when no colour admits a two-edge path.  Below `stop` the result
+    is exact; the first path found whose order is >= stop is returned as it
+    is.  Paths go by colour, then middle x.  `need` is the least order that
+    can replace the best: best + 1 at a colour's start, as no tie in a
+    later colour wins, and the best once the colour has improved it, when a
+    tie wins with a smaller u, or with the best's u and x and a smaller w.
 
-    A middle of colour degree d < _BOUND_DEGREE visits u < w.  A larger one
-    is bounded against `need`: the best, one more in a later colour (no tie
-    wins there), or, after a pair reaches stop, stop, when only a smaller
-    (u, w) counts.  At the colour's first bounded middle its largest
-    component is taken, and unless that ends the colour, its degrees d(v):
-    one popcount per row, kept as the two largest, D1 >= D2, and as degree
-    level masks.  As g(v) <= d(v) - 1, no path through x is larger than
-    d + D1 + D2 - 1, so a middle below need is skipped before its leaves are
-    listed, and only the leaves with d(v) >= need - d - D1 + 1 are kept.
+    A middle of colour degree d < _BOUND_DEGREE visits u < w, so a tie
+    there wins only with a smaller u.  A larger one is bounded against
+    need.  At the colour's first bounded middle its largest component is
+    taken, and unless that ends the colour, its degrees d(v): one popcount
+    per row, kept as the two largest, D1 >= D2, and as degree level masks.
+    As g(v) <= d(v) - 1, no path through x is larger than d + D1 + D2 - 1,
+    so a middle below need is skipped before its leaves are listed, and
+    only the leaves with d(v) >= need - d - D1 + 1 are kept.
     The middle is skipped when fewer than two remain, or when the ball of
     radius 2 through them cannot beat the best, or tie it and win;
     otherwise its kept leaf pairs go by gain, largest first, and both loops
-    break once d + 1 + g(u) + g(w) falls below need.  Inside a middle need
-    never falls below its value on entry, which is at most stop, so the
-    leaves kept on entry hold every pair that can still replace the best.
+    break once d + 1 + g(u) + g(w) falls below need.  As need only rises,
+    the leaves kept on entry hold every pair that can still replace the best.
     """
     best = best_c = best_u = best_x = best_w = 0
     full = (1 << n) - 1
@@ -247,6 +247,7 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
     for c in range(1, m + 1):
         row = masks[c]
         cap = 0  # not taken yet
+        need = best + 1  # no tie in a later colour wins
         for x in range(n):
             nb = row[x]
             d = nb.bit_count()
@@ -259,23 +260,23 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
                     mu = row[u] | nb
                     for w in hood[a + 1:]:
                         order = (mu | row[w]).bit_count()
-                        if order >= best:
+                        if order >= need:
                             if order > best:
-                                best, best_c, best_u, best_x, best_w = order, c, u, x, w
                                 if order >= stop:
-                                    return best, best_c, best_u, best_x, best_w
-                            elif c == best_c and u < best_u:
+                                    return order, c, u, x, w
+                                best = need = order
+                                best_c, best_u, best_x, best_w = c, u, x, w
+                            elif u < best_u:
                                 best_u, best_x, best_w = u, x, w
                 continue
             if not cap:
                 cap = _largest_component(row)
-                if cap < best or cap == best and c != best_c:
+                if cap < need:
                     break
                 deg = list(map(int.bit_count, row))
                 d2, d1 = sorted(deg)[-2:]
                 # need >= best and d <= D1 keep every leaf floor above best - 2 * D1
                 levels, at_least = _degree_levels(deg, best - 2 * d1)
-            need = best + (c != best_c)  # the least order that can replace the best
             if d + d1 + d2 - 1 < need:
                 continue
             hood = list(iter_bits(nb & at_least[bisect_left(levels, need - d - d1 + 1)]))
@@ -285,7 +286,7 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
             for v in hood:
                 ball |= row[v]
             reach = ball.bit_count()
-            if reach < best or reach == best and (c != best_c or hood[0] >= best_u):
+            if reach < need or reach == best and hood[0] >= best_u:
                 continue
             # -|N(v) - N(x)| << shift | v for each kept leaf v: by gain, largest first
             off = full ^ nb
@@ -303,16 +304,12 @@ def _triple_scan(masks: list[list[int]], n: int, m: int,
                     if order >= need:
                         u, w = (a, b) if a < b else (b, a)
                         if order > best:
-                            best, best_c, best_u, best_x, best_w = order, c, u, x, w
-                            need = best
                             if order >= stop:
-                                # no order exceeds n: from here only a smaller
-                                # (u, w) that reaches stop replaces the path
-                                best, need = n + 1, stop
+                                return order, c, u, x, w
+                            best = need = order
+                            best_c, best_u, best_x, best_w = c, u, x, w
                         elif u < best_u or u == best_u and x == best_x and w < best_w:
                             best_u, best_x, best_w = u, x, w
-            if best > n:
-                return (row[best_u] | nb | row[best_w]).bit_count(), c, best_u, x, best_w
     return best, best_c, best_u, best_x, best_w
 
 

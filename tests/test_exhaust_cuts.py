@@ -230,8 +230,9 @@ def test_completion_counts_stop_at_the_cap():
 
 # New exact results: the minimum of each mode's maximum over every canonical
 # colouring, all at the proven floor's ceiling (n/(r-1) for r = 3, whose
-# threshold the r = 4 results also meet), with zero violations
-NEW_RESULTS = [(7, 3, 4), (8, 3, 4), (9, 3, 5), (7, 4, 3)]
+# threshold the r = 4 results also meet; at K_9 with r = 4, n/(r-1) = 3 is
+# met exactly, the AG(2, 3) case), with zero violations
+NEW_RESULTS = [(7, 3, 4), (8, 3, 4), (9, 3, 5), (7, 4, 3), (8, 4, 3), (9, 4, 3)]
 
 
 @pytest.mark.parametrize("n, r, minimum", NEW_RESULTS,

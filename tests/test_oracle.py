@@ -220,10 +220,12 @@ def scan_order_records(masks, n: int, m: int):
 
 
 def test_scans_stop_at_the_first_candidate_that_reaches_stop():
-    # Below stop a scan's value is exact; at or above it the scan returns the
-    # first candidate in its own order whose order reaches stop, which lies
-    # in [stop, maximum].  Every stop from 0 to n + 1 is tried; n + 1 is the
-    # full scan.
+    # Below stop a scan's value is exact; at or above it the scan returns a
+    # candidate whose order lies in [stop, maximum]: the double and component
+    # scans the first in their own order, the triple scan, which visits a
+    # bounded middle's pairs by gain, some path u < w of the order it
+    # returns, and above the maximum the brute-force witness.
+    # Every stop from 0 to n + 1 is tried; n + 1 is the full scan.
     def canonical(labels):
         hue = {}
         return tuple(hue.setdefault(v, len(hue) + 1) for v in labels)
@@ -239,13 +241,22 @@ def test_scans_stop_at_the_first_candidate_that_reaches_stop():
         kernels = (lambda stop: _triple_scan(masks, n, m, stop),
                    lambda stop: _double_scan(masks, n, m, stop),
                    lambda stop: (_component_order(masks, n, m, stop),))
+        witness = brute_max_triple_star(c)
         for kernel, records in zip(kernels, scan_order_records(masks, n, m)):
             top = records[-1][0] if records else 0
             for stop in range(n + 2):
                 value, *key = kernel(stop)
                 assert value == top if top < stop else stop <= value <= top
                 first = next((rec for rec in records if rec[0] >= stop), None)
-                assert first is None or (value, tuple(key)) == first
+                if kernel is not kernels[0]:
+                    assert first is None or (value, tuple(key)) == first
+                elif first is None:
+                    assert key == ([witness.colour, *witness.centres] if witness else [0] * 4)
+                else:
+                    hue, u, x, w = key
+                    row = masks[hue]
+                    assert u < w and row[x] >> u & row[x] >> w & 1
+                    assert (row[u] | row[x] | row[w]).bit_count() == value
 
 
 def test_walk_masks_match_a_fresh_build_at_every_step():
