@@ -253,8 +253,8 @@ def test_scans_stop_at_the_first_candidate_that_reaches_stop():
                 elif first is None:
                     assert key == ([witness.colour, *witness.centres] if witness else [0] * 4)
                 else:
-                    hue, u, x, w = key
-                    row = masks[hue]
+                    colour, u, x, w = key
+                    row = masks[colour]
                     assert u < w and row[x] >> u & row[x] >> w & 1
                     assert (row[u] | row[x] | row[w]).bit_count() == value
 

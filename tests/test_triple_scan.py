@@ -6,8 +6,8 @@ d + 1 + g(u) + g(w) falls below the best.  Hubs whose leaves all have the
 same gain, each leaf with its own outer neighbours, put that bound exactly
 at the best, where a bound off by one or a tie taken in the wrong order
 would change the result.  Below a stop order the scan's result is exact; at
-or above it the scan may return any path of order >= stop, which every_path
-checks is a real path u < w of the order returned.
+or above it the scan may return any path of order >= stop, so the check
+there is that every_path lists the path returned, with the order returned.
 
 As g(v) <= d(v) - 1, the scan also skips a middle whose d + D1 + D2 - 1
 (D1 >= D2 the colour's two largest degrees) is below the best, and keeps
