@@ -12,9 +12,10 @@ matrix of edge labels, 0 on the diagonal, in base-256 byte planes, each
 holding one digit of every cell, least significant first (one plane when
 m < 256).  A plane is filled with two slice assignments per row and read
 at C speed: a row's distinct labels are one `set` (or one memchr per
-label in use), and its colour-c mask is one `bytes.translate` per plane,
-mapping c's digit to '1' and every other byte to '0', read by
-`int(..., 2)` and ANDed over the planes.
+label in use).  With one-byte labels a row's colour-c mask is one
+`bytes.translate`, mapping c to '1' and every other byte to '0', read by
+`int(..., 2)`; wider labels get their view from the per-edge loop, and
+only a single colour's rows translate each plane and AND them.
 
 Labels become one flat array (`_flat_labels`) once: bytes below 256
 colours, native unsigned ints ('I', at least 32 bits) up to the cap _MAX_M.
@@ -204,11 +205,6 @@ class LabelMatrix:
             cells.reverse()
             self.planes.append(cells)
 
-    def rows(self, i: int) -> list[bytearray]:
-        """Row i of each plane, back to front."""
-        lo = (self.n - 1 - i) * self.n
-        return [plane[lo:lo + self.n] for plane in self.planes]
-
     @cached_property
     def row_labels(self) -> list[tuple[int, ...]]:
         """The distinct labels of each row, the diagonal's 0 left out.
@@ -225,13 +221,13 @@ class LabelMatrix:
                         for lo in range(n * n - n, -1, -n)]
         size = array("I").itemsize
         result = []
-        for i, lo in enumerate(range(n * n - n, -1, -n)):
+        for lo in range(n * n - n, -1, -n):
             if len(planes) == 1:
                 labels = set(planes[0][lo:lo + n])
             else:  # the row's digits interleaved into native 'I' items, read back as labels
                 cells = bytearray(n * size)
-                for at, row in zip(_digit_offsets(size), self.rows(i)):
-                    cells[at::size] = row
+                for at, plane in zip(_digit_offsets(size), planes):
+                    cells[at::size] = plane[lo:lo + n]
                 labels = set(memoryview(cells).cast("I"))
             labels.discard(0)
             result.append(tuple(labels))
@@ -252,17 +248,25 @@ def colour_masks(n: int, m: int, colours, used=None) -> list:
     """masks[c][x] has bit v set iff edge {x, v} has colour c: the one per-edge loop.
 
     Rows come from `_palette`: with `used` None every colour, row 0 included,
-    gets one the walk and the annealer may edit.  `colours` is read once, in
-    edge order, so any iterable of labels serves.
+    gets one the walk and the annealer may edit.  `colours` is any iterable
+    of labels in edge order.  The rows of the upper triangle are read last
+    to first, so a mask has its highest bit once its own row is read and
+    keeps that width through the updates after it.  Masks built up from
+    their low bits leave the allocator's pools part empty: read first to
+    last, the view of the projective q = 31 plane (993 colours) peaked
+    5 MiB higher.
     """
     masks = _palette(n, m, used)
-    labels = iter(colours)
-    for i in range(n - 1):
+    labels = tuple(colours)
+    end = edge_count(n)
+    for i in range(n - 2, -1, -1):
+        start = end - (n - 1 - i)
         one = 1 << i
-        for j, c in zip(range(i + 1, n), labels):
+        for j, c in zip(range(i + 1, n), labels[start:end]):
             row = masks[c]
             row[i] |= 1 << j
             row[j] |= one
+        end = start
     return masks
 
 
@@ -287,40 +291,27 @@ def _palette(n: int, m: int, used) -> list:
     return masks
 
 
-# A row's mask for one plane digit costs one translate and one int() of
-# the row, about _ROW_COST + n units; the per-edge loop costs about
+# A row's mask for one colour costs one translate and one int() of the
+# row, about _ROW_COST + n units; the per-edge loop costs about
 # _EDGE_COST units per cell, and sets both bits of an edge at one visit.
-# A colouring takes whichever is cheaper summed over all its rows.
+# A colouring of one-byte labels takes whichever is cheaper summed over
+# all its rows; labels of more than one byte take the per-edge loop.
 _ROW_COST = 120
 _EDGE_COST = 46
 
 
-def _conversions(hues: tuple[int, ...], width: int) -> int:
-    """Translates a row with these labels needs: one per distinct digit in each plane."""
-    return sum(len({c >> 8 * p & 255 for c in hues}) for p in range(width))
-
-
 def _matrix_masks(colouring: EdgeColouring) -> list:
     labels = colouring.labels
-    n, width = labels.n, len(labels.planes)
-    row_labels = labels.row_labels
+    n, row_labels = labels.n, labels.row_labels
     used = set().union(*row_labels)
-    translates = sum(_conversions(hues, width) for hues in row_labels)
-    if translates * (_ROW_COST + n) >= _EDGE_COST * n * n:
+    if len(labels.planes) > 1 or sum(map(len, row_labels)) * (_ROW_COST + n) >= _EDGE_COST * n * n:
         return colour_masks(n, colouring.m, colouring.colours, used)
     masks = _palette(n, colouring.m, used)
-    for i, hues in enumerate(row_labels):
-        rows = labels.rows(i)
-        digit_masks = [{} for _ in rows]  # one translate per distinct digit
-        for c in hues:
-            mask = -1
-            for p, row in enumerate(rows):
-                digit = c >> 8 * p & 255
-                bits = digit_masks[p].get(digit)
-                if bits is None:
-                    bits = digit_masks[p][digit] = int(row.translate(_ONE[digit]), 2)
-                mask &= bits
-            masks[c][i] = mask
+    cells = labels.planes[0]
+    for i, lo in enumerate(range(n * n - n, -1, -n)):
+        row = cells[lo:lo + n]
+        for c in row_labels[i]:
+            masks[c][i] = int(row.translate(_ONE[c]), 2)
     return masks
 
 
@@ -329,7 +320,8 @@ class ColourClassView:
 
     Only colours that occur get rows of their own; the others share one
     read-only empty row.  Below _MATRIX_MIN_N `colour_masks` builds them,
-    above it the label matrix, unless `colour_masks` costs less.
+    above it the label matrix's one-byte rows, unless the labels need more
+    than one byte or `colour_masks` costs less.
     """
 
     def __init__(self, colouring: EdgeColouring):
@@ -541,7 +533,9 @@ _TOKEN = re.compile(r"\S+")
 # the most colours a colouring at the n cap _MAX_N can use.  The parser
 # refuses a header above it, `validate` a record, and the generators an r.
 _MAX_M = 2_000_000
-_MAX_N = 2000  # C(n,2) colour entries; beyond this the dense model stops being sensible
+# C(n,2) colour entries; beyond this the dense model stops being sensible.  The
+# parser refuses a header n above it, and so do the generators, search and exhaust.
+_MAX_N = 2000
 # A search keeps a mask row per colour, and so does every colouring that an
 # exhaustive proof builds, so r is held to the same scale as n.
 _MAX_R = 2000
@@ -561,8 +555,9 @@ def parse_colouring(text: str) -> EdgeColouring:
     Lines starting with '#' (and blank lines) are ignored.  The first data
     line must be "n m"; the following tokens are the C(n,2) edge colours in
     row-major upper-triangular order, split across lines however convenient.
-    A header m above _MAX_M is refused before anything is built.  Raises
-    ColouringFormatError with 1-based line/column positions.
+    A header n above _MAX_N or m above _MAX_M is refused before anything
+    is built.  Raises ColouringFormatError with 1-based line/column
+    positions.
 
     The labels are read once into the flat array `_flat_labels` would make
     of them: with m <= 9 a body of single digits is read by two translates,
@@ -610,6 +605,9 @@ def _parse_header(lines: list[str]) -> tuple[int, int, int]:
             if value < 0:
                 raise ColouringFormatError("header values must be nonnegative", lineno, tok.start() + 1)
             pair.append(value)
+        if pair[0] > _MAX_N:
+            raise ColouringFormatError(f"header n = {pair[0]} too large: at most {_MAX_N} vertices",
+                                       lineno, tokens[0].start() + 1)
         if pair[1] > _MAX_M:
             raise ColouringFormatError(f"header m = {pair[1]} too large: at most {_MAX_M} colours",
                                        lineno, tokens[1].start() + 1)

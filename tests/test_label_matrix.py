@@ -3,7 +3,8 @@
 Mask views, single-colour rows, locality and validation are each checked
 against a plain per-edge loop kept here, over labels on both sides of
 every byte boundary, on both mask paths (per-edge and label matrix) and
-with every row forced to translate.
+with every row forced to translate.  The view translates one-byte rows
+only: labels of two bytes or more take the per-edge loop on every path.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ def colourings(draw, n_max: int = 60):
 
 # Each mask path: the per-edge loop alone, the label matrix with the
 # cheaper method for the colouring, and the label matrix forced to
-# translate every row.
+# translate every row of one-byte labels.
 PATHS = {
     "per-edge": {},
     "matrix": {"_MATRIX_MIN_N": 2},

@@ -142,6 +142,19 @@ def test_a_negative_header_value_is_refused_by_parse_and_analyze(tmp_path, capsy
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_a_header_n_above_the_cap_is_refused_before_any_label_is_read(tmp_path, capsys):
+    message = "header n = 2001 too large: at most 2000 vertices (line 1, column 1)"
+    with pytest.raises(ColouringFormatError) as exc:
+        parse_colouring("2001 2\nnot a label\n")
+    assert str(exc.value) == message
+    assert parse_colouring("2000 2\n" + "1 " * edge_count(2000)).n == 2000
+    path = tmp_path / "big.txt"
+    path.write_text("2001 2\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_prove_local_refuses_r_below_3(tmp_path, capsys):
     path = tmp_path / "k4.txt"
     path.write_text(format_colouring(EdgeColouring(4, 3, (1, 2, 3, 3, 2, 1))))

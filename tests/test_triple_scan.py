@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tristar import stars
@@ -45,15 +45,9 @@ def every_path(masks: list[list[int]], n: int, m: int) -> list[tuple[int, tuple[
     return paths
 
 
-def plain_scan(paths: list[tuple[int, tuple[int, ...]]],
-               stop: int) -> tuple[int, int, int, int, int]:
-    """The first path whose order reaches stop, else the largest with the smallest key."""
-    for order, key in paths:
-        if order >= stop:
-            return (order, *key)
-    if not paths:
-        return (0, 0, 0, 0, 0)
-    order, key = min(paths, key=lambda path: (-path[0], path[1]))
+def plain_scan(paths: list[tuple[int, tuple[int, ...]]]) -> tuple[int, int, int, int, int]:
+    """The largest order with the smallest key (c, u, x, w); all zeros without a path."""
+    order, key = min(paths, key=lambda path: (-path[0], path[1]), default=(0, (0, 0, 0, 0)))
     return (order, *key)
 
 
@@ -66,7 +60,7 @@ def assert_scan_matches_at_every_stop(colouring: EdgeColouring) -> None:
     for stop in range(n + 2):
         got = _triple_scan(masks, n, m, stop)
         if stop > top or not paths:
-            assert got == plain_scan(paths, stop), stop
+            assert got == plain_scan(paths), stop
         else:
             assert stop <= got[0] <= top and orders.get(got[1:]) == got[0], (stop, got)
 
@@ -129,8 +123,20 @@ def test_dense_random_scan_equals_the_plain_scan_at_every_stop(n, r, seed):
     assert_scan_matches_at_every_stop(random_colouring(n, r, seed))
 
 
+# Colour 2 reaches order 13 below the bound degree, at middle 2.  Its first
+# bounded middle, 9, has the colour's largest degree D1 = 6 and ties that best,
+# with a smaller key, through leaf 1 of degree 2 = best - 2 * D1 + 1: exactly
+# the leaf floor.  A floor one higher drops leaf 1, and centres (2, 13, 9) win
+# in place of (1, 9, 13).
+# The labels are one digit each, row by row of the upper triangle.
+LEAF_FLOOR_TIE = EdgeColouring(14, 6, tuple(map(int, "4662665164632 155421521556 66626552222 "
+                                                   "5631622225 122625365 35655132 6214261 "
+                                                   "241212 11655 2522 625 62 5".replace(" ", ""))))
+
+
 @EXAMPLES
 @given(colouring=hub_colourings(n_max=12))
+@example(colouring=LEAF_FLOOR_TIE)
 def test_witness_equals_the_brute_force_witness(colouring):
     slow, fast = brute_max_triple_star(colouring), max_triple_star(colouring)
     if slow is None:
@@ -246,7 +252,7 @@ def test_degree_caps_skip_middles_and_leaves(monkeypatch):
         return real(mask)
 
     monkeypatch.setattr(stars, "iter_bits", listing)
-    assert _triple_scan(masks, n, m, n + 1) == plain_scan(every_path(masks, n, m), n + 1)
+    assert _triple_scan(masks, n, m, n + 1) == plain_scan(every_path(masks, n, m))
     bounded = [masks[c][x] for c in range(1, m + 1) for x in range(n)
                if masks[c][x].bit_count() >= _BOUND_DEGREE]
     assert 0 < len(listed) < len(bounded) // 2
