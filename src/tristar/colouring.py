@@ -249,12 +249,11 @@ def colour_masks(n: int, m: int, colours, used=None) -> list:
 
     Rows come from `_palette`: with `used` None every colour, row 0 included,
     gets one the walk and the annealer may edit.  `colours` is any iterable
-    of labels in edge order.  The rows of the upper triangle are read last
-    to first, so a mask has its highest bit once its own row is read and
-    keeps that width through the updates after it.  Masks built up from
-    their low bits leave the allocator's pools part empty: read first to
-    last, the view of the projective q = 31 plane (993 colours) peaked
-    5 MiB higher.
+    of labels in edge order; a prefix of the edges leaves the rest unset.
+    The rows are read last to first, so each mask has its highest bit once
+    its own row is read: built up from their low bits, the masks of the
+    projective q = 31 plane (993 colours) left the allocator's pools part
+    empty, and a certify pass peaked at 48 MiB in place of 44.
     """
     masks = _palette(n, m, used)
     labels = tuple(colours)
